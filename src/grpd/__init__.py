@@ -66,7 +66,6 @@ from .terms import (
     Identity,
     Term,
     evaluate,
-    holds,
     in_A,
     in_B,
     in_Cp,

@@ -14,18 +14,16 @@ prove minimality (higher-arity generators are never examined).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Groupoid, Partition, SubsetWitness, enumerate_partitions, partition_preserved_by
+from .core import Groupoid, SubsetWitness, enumerate_partitions, partition_preserved_by
 from .errors import GuardError
 from .spectrum import OpTable
-from .terms import Term, _eval_broadcast
+from .terms import Term, eval_term
 
 CLONE_GUARD = 10 ** 5
-PRODUCT_INDEX_MAX_OPS = 2048
 WITNESS_SUBSET_MAX_N = 20
 WITNESS_PARTITION_MAX_N = 12
 
@@ -35,29 +33,23 @@ class BinaryClonePart:
     """The arity-2 term operations of a groupoid's clone.
 
     ``ops[0]``/``ops[1]`` are the projections; ``basic_index`` locates
-    the basic operation.  ``product_index`` maps (i, j) to the index of
-    f(ops[i], ops[j]); it is stored as a dict only while the part is
-    small, but ``product(i, j)`` always works.
+    the basic operation f.  ``product(i, j)`` composes f(ops[i], ops[j])
+    on demand and looks the result up by its table bytes; no product
+    table is stored.
     """
 
     ops: tuple[OpTable, ...]
     names: tuple[str, ...]
     basic_index: int
-    product_index: dict | None
-    _table: np.ndarray  # groupoid table, for on-demand products
     _key_index: dict    # table bytes -> op index
 
     def __len__(self):
         return len(self.ops)
 
     def product(self, i: int, j: int) -> int:
-        if self.product_index is not None:
-            return self.product_index[(i, j)]
-        composed = self._table[self.ops[i].as_array(), self.ops[j].as_array()]
+        basic = self.ops[self.basic_index].as_array()
+        composed = basic[self.ops[i].as_array(), self.ops[j].as_array()]
         return self._key_index[composed.tobytes()]
-
-    def index_of(self, op: OpTable) -> int | None:
-        return self._key_index.get(np.ascontiguousarray(op.as_array(), dtype=np.int64).tobytes())
 
 
 def _projections(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,47 +61,45 @@ def _projections(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _close_under(combiner: np.ndarray, n: int, guard: int = CLONE_GUARD):
     """Close {e1, e2} under (u, v) -> combiner[u, v], breadth first.
 
-    Returns (tables, names, product_index or None, key_index).  Every
-    ordered pair of discovered ops is composed exactly once; FIFO
-    processing makes the discovery order (and so the names) stable.
+    Returns (tables, names, key_index).  Ops take their turns in
+    discovery order; at u's turn, u is composed on both sides with
+    every op found so far.  ``snapshots[v]`` is the op count at v's
+    turn, so for v < u the pair was already composed iff u <
+    snapshots[v].  Every ordered pair is thus composed exactly once,
+    and the discovery order (and so the names) is stable.
     """
     e1, e2 = _projections(n)
     tables = [e1, e2]
     names = ["x", "y"]
     key_index = {e1.tobytes(): 0, e2.tobytes(): 1}
-    product_index: dict | None = {}
-    queue = deque((0, 1))
-    while queue:
-        u = queue.popleft()
+    snapshots: list[int] = []
+    u = 0
+    while u < len(tables):
         snapshot = len(tables)
+        snapshots.append(snapshot)
         for v in range(snapshot):
-            for i, j in ((u, v), (v, u)):
-                if product_index is not None and (i, j) in product_index:
-                    continue
+            if v < u < snapshots[v]:
+                continue
+            for i, j in ((u, v),) if v == u else ((u, v), (v, u)):
                 composed = np.ascontiguousarray(combiner[tables[i], tables[j]])
                 key = composed.tobytes()
-                idx = key_index.get(key)
-                if idx is None:
+                if key not in key_index:
                     idx = len(tables)
                     if idx >= guard:
                         raise GuardError(f"binary clone closure exceeded {guard} operations")
                     tables.append(composed)
                     names.append(f"({names[i]} {names[j]})")
                     key_index[key] = idx
-                    queue.append(idx)
-                if product_index is not None:
-                    product_index[(i, j)] = idx
-                    if len(tables) > PRODUCT_INDEX_MAX_OPS:
-                        product_index = None
-    return tables, names, product_index, key_index
+        u += 1
+    return tables, names, key_index
 
 
 def binary_clone_part(g: Groupoid, guard: int = CLONE_GUARD) -> BinaryClonePart:
     """Compute the binary part of Clo(g) with term names for each op."""
-    tables, names, product_index, key_index = _close_under(g.table, g.n, guard)
+    tables, names, key_index = _close_under(g.table, g.n, guard)
     ops = tuple(OpTable(2, g.n, t.reshape(-1)) for t in tables)
     basic = key_index[np.ascontiguousarray(g.table).tobytes()]
-    return BinaryClonePart(ops, tuple(names), basic, product_index, g.table, key_index)
+    return BinaryClonePart(ops, tuple(names), basic, key_index)
 
 
 def f2_table(g: Groupoid) -> Groupoid:
@@ -139,7 +129,7 @@ def generates_basic(g: Groupoid, h: OpTable) -> bool:
     """Is the basic operation in the binary part of the clone h generates?"""
     if h.arity != 2 or h.base != g.n:
         raise ValueError("suspect must be a binary op on the same carrier")
-    tables, _, _, key_index = _close_under(h.as_array(), g.n)
+    _, _, key_index = _close_under(h.as_array(), g.n)
     return np.ascontiguousarray(g.table).tobytes() in key_index
 
 
@@ -185,7 +175,8 @@ def binary_term_table(g: Groupoid, term: Term) -> OpTable:
     if extra:
         raise ValueError(f"term must only use variables x and y, found {sorted(extra)}")
     e1, e2 = _projections(g.n)
-    arr = _eval_broadcast(term, g, {"x": e1, "y": e2})
+    table = g.table
+    arr = eval_term(term, {"x": e1, "y": e2}, lambda a, b: table[a, b])
     full = np.broadcast_to(arr, (g.n, g.n))
     return OpTable(2, g.n, full.reshape(-1).copy())
 
@@ -214,12 +205,12 @@ def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | No
     for mask in range(1, 1 << n):
         members = np.flatnonzero([(mask >> i) & 1 for i in range(n)])
         if _subset_preserved_by(s_table, members) and not _subset_preserved_by(f_table, members):
-            return SubsetWitness("subset", frozenset(members.tolist()), "suspect", "basic")
+            return SubsetWitness("subset", frozenset(members.tolist()))
     if n <= WITNESS_PARTITION_MAX_N:
         for nblocks in range(n - 1, 1, -1):
             for p in enumerate_partitions(n):
                 if len(p.blocks) != nblocks:
                     continue
                 if partition_preserved_by(s_table, p) and not partition_preserved_by(f_table, p):
-                    return SubsetWitness("partition", p, "suspect", "basic")
+                    return SubsetWitness("partition", p)
     return None

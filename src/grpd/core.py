@@ -125,22 +125,15 @@ class Isomorphism:
 
 @dataclass(frozen=True)
 class SubsetWitness:
-    """A relation (partition or index subset) separating two operations.
-
-    The payload is preserved by ``preserved_by`` but violated by
-    ``violated_by``; the two operation identifiers must differ.
-    """
+    """A relation (partition or index subset) separating two operations:
+    preserved by one of them and violated by the other."""
 
     kind: str  # "partition" or "subset"
     payload: object
-    preserved_by: str
-    violated_by: str
 
     def __post_init__(self):
         if self.kind not in ("partition", "subset"):
             raise ValueError(f"bad witness kind {self.kind!r}")
-        if self.preserved_by == self.violated_by:
-            raise ValueError("witness must separate two distinct operations")
         if self.kind == "subset" and not self.payload:
             raise ValueError("subset payload must be nonempty")
 

@@ -31,7 +31,8 @@ class ShReport:
     minimal_sh: bool | None = None
 
 
-def _defect_mask(g: Groupoid) -> np.ndarray:
+def defect_mask(g: Groupoid) -> np.ndarray:
+    """Boolean (n, n, n) cube, True at each (a, b, c) with (ab)c != a(bc)."""
     t = g.table
     return t[t] != t[:, t]
 
@@ -50,7 +51,7 @@ def _classify(a: int, b: int, c: int) -> str:
 
 def ns_index(g: Groupoid) -> ShReport:
     """Exhaustive count of nonassociative triples over the cube."""
-    mask = _defect_mask(g)
+    mask = defect_mask(g)
     count = int(mask.sum())
     listed = tuple(map(tuple, np.argwhere(mask)[:TRIPLE_LIST_CAP].tolist()))
     sh_type = None

@@ -4,7 +4,10 @@ Tables are enumerated in row-major order (the first table cell is the
 most significant digit), optionally restricted to idempotent tables.
 Identity filters are evaluated assignment-by-assignment over numpy
 batches, shrinking the survivor set after each assignment, so the full
-4^12 idempotent size-4 space stays scannable in seconds.  Results are
+4^12 idempotent size-4 space stays scannable in seconds.  The
+``is_semigroup`` check reuses that filter with the associativity
+identity: the violators are exactly the survivors it drops.  Other
+checks call their predicate on each survivor.  Results are
 independent of chunking and worker count: counts are summed and the
 first witness is the one with the smallest table index.
 """
@@ -21,7 +24,7 @@ from .core import Groupoid
 from .errors import GuardError
 from .terms import (
     Identity,
-    Term,
+    eval_term,
     in_A,
     in_B,
     in_D,
@@ -32,11 +35,13 @@ from .terms import (
     is_right_regular_band,
     is_right_zero,
     is_semigroup,
+    parse_identity,
 )
 
 MAX_SIZE_IDEMPOTENT = 4
 MAX_SIZE_GENERAL = 3
 DEFAULT_CHUNK = 1 << 20
+_ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
 
 CHECKS = {
     "is_semigroup": is_semigroup,
@@ -83,16 +88,29 @@ def _materialize(indices: np.ndarray, size: int, cells: list[tuple[int, int]]) -
     return tables
 
 
-def _eval_term_batch(t: Term, tables: np.ndarray, env: dict[str, int], size: int):
-    """Evaluate a term at one assignment for a whole table batch."""
-    if t.is_var:
-        return env[t.name]
-    left = _eval_term_batch(t.left, tables, env, size)
-    right = _eval_term_batch(t.right, tables, env, size)
-    flat = left * size + right
-    if isinstance(flat, (int, np.integer)):
-        return tables[:, int(flat)]
-    return np.take_along_axis(tables, flat[:, None], axis=1)[:, 0]
+def all_tables(size: int, idempotent_only: bool) -> np.ndarray:
+    """Every table of the given size as a (count, size, size) array, in
+    enumeration order (all idempotent tables when ``idempotent_only``)."""
+    cells = _free_cells(size, idempotent_only)
+    indices = np.arange(size ** len(cells), dtype=np.int64)
+    return _materialize(indices, size, cells).reshape(-1, size, size)
+
+
+def _batch_product(tables: np.ndarray, size: int):
+    """Product of two values across a table batch at one assignment.
+
+    A value is one element index shared by every table (a plain int)
+    or one element per table (an array over the batch); two plain ints
+    select a single table column.
+    """
+
+    def product(left, right):
+        flat = left * size + right
+        if isinstance(flat, (int, np.integer)):
+            return tables[:, int(flat)]
+        return np.take_along_axis(tables, flat[:, None], axis=1)[:, 0]
+
+    return product
 
 
 def _apply_identity_filters(tables, indices, identities, size):
@@ -103,8 +121,9 @@ def _apply_identity_filters(tables, indices, identities, size):
             if not indices.size:
                 return tables, indices
             env = dict(zip(variables, values))
-            lhs = _eval_term_batch(ident.lhs, tables, env, size)
-            rhs = _eval_term_batch(ident.rhs, tables, env, size)
+            product = _batch_product(tables, size)
+            lhs = eval_term(ident.lhs, env, product)
+            rhs = eval_term(ident.rhs, env, product)
             eq = np.equal(lhs, rhs)
             if eq is True or (isinstance(eq, np.bool_) and eq):
                 continue
@@ -114,20 +133,6 @@ def _apply_identity_filters(tables, indices, identities, size):
             tables = tables[keep]
             indices = indices[keep]
     return tables, indices
-
-
-def _batch_is_semigroup(tables: np.ndarray, size: int) -> np.ndarray:
-    """Vectorized associativity over a batch: True per table."""
-    ok = np.ones(tables.shape[0], dtype=bool)
-    for x in range(size):
-        for y in range(size):
-            xy = tables[:, x * size + y]
-            for z in range(size):
-                yz = tables[:, y * size + z]
-                lhs = np.take_along_axis(tables, (xy * size + z)[:, None], axis=1)[:, 0]
-                rhs = np.take_along_axis(tables, (x * size + yz)[:, None], axis=1)[:, 0]
-                ok &= lhs == rhs
-    return ok
 
 
 def _scan_range(start, stop, size, cells, identities, check_name, chunk):
@@ -145,12 +150,12 @@ def _scan_range(start, stop, size, cells, identities, check_name, chunk):
         if not indices.size:
             continue
         if check_name == "is_semigroup":
-            bad = ~_batch_is_semigroup(tables, size)
-            violations += int(bad.sum())
-            if first_idx is None and bad.any():
-                k = int(np.argmax(bad))
-                first_idx = int(indices[k])
-                first_table = tables[k].copy()
+            _, kept = _apply_identity_filters(tables, indices, (_ASSOCIATIVITY,), size)
+            bad = np.setdiff1d(indices, kept, assume_unique=True)
+            violations += int(bad.size)
+            if first_idx is None and bad.size:
+                first_idx = int(bad[0])
+                first_table = tables[np.searchsorted(indices, first_idx)].copy()
         else:
             for k in range(indices.size):
                 g = Groupoid(tuple(str(e) for e in range(size)), tables[k].reshape(size, size))

@@ -2,14 +2,14 @@
 
 s(n) counts the distinct n-ary term functions arising from the C(n-1)
 bracketings of x1*...*xn.  Bracketings are evaluated over the whole
-tuple space with numpy broadcasting; equal-function classes are found
-with a 128-bit fingerprint plus exact re-verification, so a hash
-collision can never merge two distinct functions.
+tuple space with numpy broadcasting.  Equal-function classes are keyed
+by the exact bytes of each evaluation table, serialised in the smallest
+unsigned dtype that holds n-1, so two distinct functions never share a
+key on any carrier.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,23 +94,25 @@ def _leaf_array(position: int, nleaves: int, n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64).reshape(shape)
 
 
-def _evaluate_tree(g: Groupoid, b: Bracketing, nleaves: int, cache: dict | None = None):
+def _evaluate_tree(g: Groupoid, b: Bracketing, nleaves: int, cache: dict, store: bool = False):
     """Broadcast-evaluate a bracketing over the full tuple space.
 
     The result only spans the axes of the leaves that occur in the
     subtree; callers broadcast to the full shape.  ``cache`` memoizes
-    subtrees across bracketings of one size (keyed by structure, which
-    determines the leaf span).
+    proper subtrees across the bracketings of one size (keyed by
+    structure, which determines the leaf span).  The root's table is
+    not stored: a bracketing of one size is never a proper subtree of
+    another of that size, so it would never be looked up.
     """
     if b.is_leaf:
         return _leaf_array(b.pos, nleaves, g.n)
-    if cache is not None and b in cache:
-        return cache[b]
-    left = _evaluate_tree(g, b.left, nleaves, cache)
-    right = _evaluate_tree(g, b.right, nleaves, cache)
-    out = g.table[left, right]
-    if cache is not None:
-        cache[b] = out
+    out = cache.get(b)
+    if out is None:
+        left = _evaluate_tree(g, b.left, nleaves, cache, True)
+        right = _evaluate_tree(g, b.right, nleaves, cache, True)
+        out = g.table[left, right]
+        if store:
+            cache[b] = out
     return out
 
 
@@ -119,50 +121,39 @@ def term_function(g: Groupoid, b: Bracketing, budget: int = DEFAULT_BUDGET) -> O
     k = b.size
     if g.n ** k > budget:
         raise GuardError(f"evaluation budget exceeded ({g.n}^{k} > {budget})")
-    arr = _evaluate_tree(g, b, k, None)
+    arr = _evaluate_tree(g, b, k, {})
     full = np.broadcast_to(arr, (g.n,) * k)
     return OpTable(k, g.n, full.reshape(-1).copy())
-
-
-def _fingerprint(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=16).digest()
 
 
 def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumReport:
     """Compute s(1)..s(max_n) by brute-force function deduplication.
 
-    Each bracketing's full evaluation table is streamed through a
-    128-bit hash; equal hashes are re-verified byte-for-byte before two
-    bracketings join a class.  If the per-size cost exceeds the budget
-    the report stops at the largest completed size.
+    Each bracketing's full evaluation table is serialised in
+    ``np.min_scalar_type(g.n - 1)`` (uint8 up to 256 elements, uint16
+    beyond) and its exact bytes key a dict of classes, kept in order of
+    first occurrence, so two bracketings share a class iff they induce
+    the same function.  If the per-size cost exceeds the budget the
+    report stops at the largest completed size.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if max_n > SPECTRUM_MAX_N:
         raise GuardError(f"spectrum capped at max_n={SPECTRUM_MAX_N}")
+    dtype = np.min_scalar_type(g.n - 1)
     values = []
     classes = []
     for n in range(1, max_n + 1):
         if catalan(n) * g.n ** n > budget:
             break
         cache: dict = {}
-        reps: list[bytes] = []            # representative table bytes per class
-        members: list[list[int]] = []     # bracketing indices per class
-        by_hash: dict[bytes, list[int]] = {}
+        members: dict[bytes, list[int]] = {}  # table bytes -> bracketing indices
         for idx, b in enumerate(enumerate_bracketings(n)):
             arr = np.broadcast_to(_evaluate_tree(g, b, n, cache), (g.n,) * n)
-            data = np.ascontiguousarray(arr, dtype=np.uint8).tobytes()
-            h = _fingerprint(data)
-            for cls in by_hash.get(h, ()):
-                if reps[cls] == data:
-                    members[cls].append(idx)
-                    break
-            else:
-                by_hash.setdefault(h, []).append(len(reps))
-                reps.append(data)
-                members.append([idx])
-        values.append(len(reps))
-        classes.append(tuple(tuple(m) for m in members))
+            data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+            members.setdefault(data, []).append(idx)
+        values.append(len(members))
+        classes.append(tuple(tuple(m) for m in members.values()))
     return SpectrumReport(tuple(values), tuple(classes))
 
 

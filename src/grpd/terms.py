@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import Groupoid
 from .errors import GuardError, ParseError
+from .nonassoc import defect_mask
 
 MAX_IDENTITY_VARS = 8
 _VECTOR_CHUNK = 1 << 22  # max assignment-space entries vectorized at once
@@ -144,19 +145,23 @@ def parse_identity(text: str) -> Identity:
 # evaluation
 
 
+def eval_term(t: Term, env: dict, product):
+    """Evaluate a term, combining subterm values with ``product(left, right)``.
+
+    The values may be element indices, broadcastable index arrays or
+    whole table columns; ``product`` decides how two of them multiply.
+    """
+    if t.is_var:
+        try:
+            return env[t.name]
+        except KeyError:
+            raise ValueError(f"unbound variable {t.name!r}") from None
+    return product(eval_term(t.left, env, product), eval_term(t.right, env, product))
+
+
 def evaluate(t: Term, g: Groupoid, assignment: dict[str, int]) -> int:
     """Evaluate a term by recursive table lookup."""
-    if t.is_var:
-        if t.name not in assignment:
-            raise ValueError(f"unbound variable {t.name!r}")
-        return assignment[t.name]
-    return g.prod(evaluate(t.left, g, assignment), evaluate(t.right, g, assignment))
-
-
-def _eval_broadcast(t: Term, g: Groupoid, env: dict[str, object]):
-    if t.is_var:
-        return env[t.name]
-    return g.table[_eval_broadcast(t.left, g, env), _eval_broadcast(t.right, g, env)]
+    return eval_term(t, assignment, g.prod)
 
 
 def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, int] | None]:
@@ -185,11 +190,16 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
         for i, name in enumerate(suffix_vars)
     }
 
+    table = g.table
+
+    def product(a, b):
+        return table[a, b]
+
     for prefix in itertools.product(range(n), repeat=len(prefix_vars)):
         env = dict(zip(prefix_vars, prefix))
         env.update(suffix_env)
-        lhs = _eval_broadcast(ident.lhs, g, env)
-        rhs = _eval_broadcast(ident.rhs, g, env)
+        lhs = eval_term(ident.lhs, env, product)
+        rhs = eval_term(ident.rhs, env, product)
         neq = np.broadcast_to(np.not_equal(lhs, rhs), shape)
         if neq.any():
             flat = int(np.argmax(neq.reshape(-1)))
@@ -201,14 +211,6 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
     return True, None
 
 
-def holds(g: Groupoid, text_or_identity) -> bool:
-    """Convenience wrapper: does the identity hold in g?"""
-    ident = text_or_identity
-    if isinstance(ident, str):
-        ident = parse_identity(ident)
-    return satisfies_identity(g, ident)[0]
-
-
 # ---------------------------------------------------------------------------
 # named identities and variety predicates
 
@@ -217,8 +219,6 @@ def holds(g: Groupoid, text_or_identity) -> bool:
 def _ident(text: str) -> Identity:
     return parse_identity(text)
 
-
-_ASSOC = "((x y) z) = (x (y z))"
 
 _B_IDENTITIES = (
     "(x x) = x",
@@ -248,9 +248,8 @@ def _holds_all(g: Groupoid, texts) -> bool:
 
 
 def is_semigroup(g: Groupoid) -> bool:
-    """Associativity, checked directly on the whole table."""
-    t = g.table
-    return bool(np.array_equal(t[t], t[:, t]))
+    """Associativity: no nonassociative triple in the whole table."""
+    return not defect_mask(g).any()
 
 
 def is_left_zero(g: Groupoid) -> bool:

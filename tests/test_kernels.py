@@ -1,0 +1,191 @@
+"""Property tests: each shared kernel against a brute force it must agree with.
+
+Tables are random, of size 1 to 5, idempotent or not.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grpd.bracketings import enumerate_bracketings
+from grpd.clone import binary_clone_part, binary_term_table
+from grpd.core import Groupoid
+from grpd.errors import GuardError
+from grpd.nonassoc import ns_index
+from grpd.search import CHECKS, search_tables
+from grpd.spectrum import spectrum, term_function
+from grpd.terms import Identity, eval_term, evaluate, is_semigroup, prod, satisfies_identity, var
+
+
+def groupoid_of(size, cells):
+    return Groupoid(tuple(str(i) for i in range(size)), np.array(cells).reshape(size, size))
+
+
+tables = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
+        lambda cells: groupoid_of(n, cells)
+    )
+)
+
+
+def terms_over(names):
+    return st.recursive(
+        st.sampled_from(names).map(var),
+        lambda sub: st.tuples(sub, sub).map(lambda pair: prod(*pair)),
+        max_leaves=6,
+    )
+
+
+identities = st.tuples(terms_over("xyz"), terms_over("xyz")).map(lambda sides: Identity(*sides))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables)
+def test_spectrum_matches_grouping_term_functions(g):
+    rep = spectrum(g, 4)
+    assert rep.max_n == 4
+    for n in range(1, 5):
+        groups: dict[bytes, list[int]] = {}
+        for idx, b in enumerate(enumerate_bracketings(n)):
+            groups.setdefault(term_function(g, b).entries.tobytes(), []).append(idx)
+        assert rep.values[n - 1] == len(groups)
+        assert rep.classes[n - 1] == tuple(tuple(m) for m in groups.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables)
+def test_associativity_kernel_matches_triple_loop(g):
+    t = g.table
+    defects = [
+        (a, b, c)
+        for a, b, c in itertools.product(range(g.n), repeat=3)
+        if t[t[a, b], c] != t[a, t[b, c]]
+    ]
+    rep = ns_index(g)
+    assert rep.ns_count == len(defects)
+    assert list(rep.triples) == defects
+    assert is_semigroup(g) == (not defects)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables, terms_over("xyz"))
+def test_broadcast_evaluation_matches_pointwise(g, term):
+    n = g.n
+    env = {name: np.arange(n).reshape((1,) * i + (n,) + (1,) * (2 - i)) for i, name in enumerate("xyz")}
+    table = g.table
+    got = np.broadcast_to(eval_term(term, env, lambda a, b: table[a, b]), (n, n, n))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        assert got[x, y, z] == evaluate(term, g, {"x": x, "y": y, "z": z})
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables, identities)
+def test_identity_check_matches_pointwise(g, ident):
+    first = None
+    for values in itertools.product(range(g.n), repeat=len(ident.variables)):
+        env = dict(zip(ident.variables, values))
+        if evaluate(ident.lhs, g, env) != evaluate(ident.rhs, g, env):
+            first = env
+            break
+    assert satisfies_identity(g, ident) == (first is None, first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables, terms_over("xy"))
+def test_binary_term_table_matches_pointwise(g, term):
+    op = binary_term_table(g, term)
+    for x, y in itertools.product(range(g.n), repeat=2):
+        assert op(x, y) == evaluate(term, g, {"x": x, "y": y})
+
+
+def enumerate_tables(size, idempotent_only):
+    """Every table in search order: row-major cells, first cell most significant."""
+    cells = [(i, j) for i in range(size) for j in range(size) if not (idempotent_only and i == j)]
+    for values in itertools.product(range(size), repeat=len(cells)):
+        table = np.diag(np.arange(size))
+        for (i, j), v in zip(cells, values):
+            table[i, j] = v
+        yield groupoid_of(size, table)
+
+
+def brute_search(size, idempotent_only, ident, check):
+    satisfying = violations = 0
+    first = None
+    for idx, g in enumerate(enumerate_tables(size, idempotent_only)):
+        if satisfies_identity(g, ident)[0]:
+            satisfying += 1
+            if not CHECKS[check](g):
+                violations += 1
+                if first is None:
+                    first = (idx, g)
+    return satisfying, violations, first
+
+
+@pytest.mark.parametrize("size, idempotent_only", [(2, False), (3, True)])
+@settings(max_examples=15, deadline=None)
+@given(ident=identities, check=st.sampled_from(sorted(CHECKS)), chunk=st.sampled_from([7, 100, 1 << 20]))
+def test_search_matches_per_table_checks(size, idempotent_only, ident, check, chunk):
+    for name in sorted({"is_semigroup", check}):
+        summary = search_tables(size, idempotent_only, [ident], name, chunk=chunk)
+        satisfying, violations, first = brute_search(size, idempotent_only, ident, name)
+        assert (summary.satisfying, summary.violations) == (satisfying, violations)
+        if first is None:
+            assert summary.first_witness_index is None and summary.first_witness is None
+        else:
+            assert summary.first_witness_index == first[0]
+            assert summary.first_witness == first[1]
+
+
+def reference_closure(g, guard):
+    """Breadth-first closure that remembers every composed pair in a set."""
+    n = g.n
+    tables = [np.repeat(np.arange(n), n).reshape(n, n), np.tile(np.arange(n), n).reshape(n, n)]
+    names = ["x", "y"]
+    keys = {tables[0].tobytes(): 0, tables[1].tobytes(): 1}
+    done = set()
+    u = 0
+    while u < len(tables):
+        for v in range(len(tables)):
+            for i, j in ((u, v), (v, u)):
+                if (i, j) in done:
+                    continue
+                done.add((i, j))
+                composed = np.ascontiguousarray(g.table[tables[i], tables[j]])
+                if composed.tobytes() not in keys:
+                    if len(tables) >= guard:
+                        raise GuardError("guard")
+                    keys[composed.tobytes()] = len(tables)
+                    tables.append(composed)
+                    names.append(f"({names[i]} {names[j]})")
+        u += 1
+    return names, done
+
+
+small_tables = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
+        lambda cells: groupoid_of(n, cells)
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables)
+def test_clone_closure_matches_pairwise_reference(g):
+    guard = 150
+    try:
+        names, done = reference_closure(g, guard)
+    except GuardError:
+        with pytest.raises(GuardError):
+            binary_clone_part(g, guard)
+        return
+    part = binary_clone_part(g, guard)
+    m = len(part)
+    assert part.names == tuple(names)
+    assert len(done) == m * m
+    basic = g.table
+    for i, j in itertools.product(range(m), repeat=2):
+        composed = basic[part.ops[i].as_array(), part.ops[j].as_array()]
+        assert part.ops[part.product(i, j)].as_array().tolist() == composed.tolist()

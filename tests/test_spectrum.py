@@ -7,6 +7,7 @@ from grpd.bracketings import catalan, enumerate_bracketings, left_assoc, parse_b
 from grpd.catalog import build_ak, catalog_get, catalog_list
 from grpd.core import Groupoid
 from grpd.errors import GuardError
+from grpd.nonassoc import ns_index
 from grpd.spectrum import (
     OpTable,
     left_depth_spectrum_classes,
@@ -122,15 +123,31 @@ def test_spectrum_guard():
         spectrum(SEMILATTICE_2, 11)
 
 
-def test_fingerprint_dedup_matches_exact_dedup():
-    # exact oracle: dict keyed by the full table bytes
-    for name in ("G3", "A2", "propD-F2", "aba-4"):
-        g = cat(name)
-        for n in range(2, 7):
+def repro_257():
+    # one defect, (1 1) 1 = 2 1 = 256 but 1 (1 1) = 1 2 = 0; 256 wraps to 0 in uint8
+    t = np.zeros((257, 257), dtype=np.int64)
+    t[1, 1] = 2
+    t[2, 1] = 256
+    return Groupoid(tuple(str(i) for i in range(257)), t)
+
+
+def test_spectrum_dedup_matches_exact_dedup():
+    # exact oracle: dict keyed by the full int64 table bytes
+    inputs = [(cat(name), range(2, 7)) for name in ("G3", "A2", "propD-F2", "aba-4")]
+    inputs.append((repro_257(), range(2, 4)))
+    for g, sizes in inputs:
+        for n in sizes:
             exact: dict[bytes, int] = {}
             for b in enumerate_bracketings(n):
                 exact.setdefault(term_function(g, b).entries.tobytes(), len(exact))
             assert spectrum(g, n).values[n - 1] == len(exact)
+
+
+def test_spectrum_above_256_elements_keeps_distinct_functions():
+    g = repro_257()
+    assert spectrum(g, 3).values == (1, 1, 2)
+    assert ns_index(g).ns_count == 1
+    assert not is_semigroup(g)
 
 
 def test_oracle_values():
