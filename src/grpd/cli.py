@@ -332,7 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--satisfy", action="append", metavar="SCHEME:N",
                    help="filter identity, e.g. left_eq_right:4 (repeatable)")
     p.add_argument("--check", default="is_semigroup", choices=sorted(CHECKS))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes; each takes a share of the first cell's values")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-paper", parents=[common],

@@ -14,6 +14,7 @@ import numpy as np
 from .core import Groupoid, generate_subuniverse
 
 TRIPLE_LIST_CAP = 1000
+SLAB_CELLS = 1 << 22  # cube cells per slab of rows of a
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,13 @@ class ShReport:
     minimal_sh: bool | None = None
 
 
-def defect_mask(g: Groupoid) -> np.ndarray:
-    """Boolean (n, n, n) cube, True at each (a, b, c) with (ab)c != a(bc)."""
+def defect_slabs(g: Groupoid):
+    """Yield (a0, mask) per slab of rows of a: mask[k, b, c] is ((a0+k)b)c != (a0+k)(bc)."""
     t = g.table
-    return t[t] != t[:, t]
+    rows = max(1, SLAB_CELLS // (g.n * g.n))
+    for a0 in range(0, g.n, rows):
+        slab = t[a0:a0 + rows]
+        yield a0, t[slab] != slab[:, t]
 
 
 def _classify(a: int, b: int, c: int) -> str:
@@ -51,16 +55,19 @@ def _classify(a: int, b: int, c: int) -> str:
 
 def ns_index(g: Groupoid) -> ShReport:
     """Exhaustive count of nonassociative triples over the cube."""
-    mask = defect_mask(g)
-    count = int(mask.sum())
-    listed = tuple(map(tuple, np.argwhere(mask)[:TRIPLE_LIST_CAP].tolist()))
+    count, listed = 0, []
+    for a0, mask in defect_slabs(g):
+        count += int(mask.sum())
+        if len(listed) < TRIPLE_LIST_CAP:
+            found = np.flatnonzero(mask)[:TRIPLE_LIST_CAP - len(listed)] + a0 * g.n * g.n
+            listed += zip(*(axis.tolist() for axis in np.unravel_index(found, (g.n,) * 3)))
     sh_type = None
     minimal = None
     if count == 1:
         a, b, c = listed[0]
         sh_type = _classify(a, b, c)
         minimal = generate_subuniverse(g, {a, b, c}) == frozenset(range(g.n))
-    return ShReport(count, listed, sh_type, minimal)
+    return ShReport(count, tuple(listed), sh_type, minimal)
 
 
 def is_minimal_sh(g: Groupoid) -> bool:

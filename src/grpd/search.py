@@ -1,15 +1,16 @@
 """Exhaustive scans over all small multiplication tables.
 
-Tables are enumerated in row-major order (the first table cell is the
+Tables are enumerated in row-major order (the first free cell is the
 most significant digit), optionally restricted to idempotent tables.
-Identity filters are evaluated assignment-by-assignment over numpy
-batches, shrinking the survivor set after each assignment, so the full
-4^12 idempotent size-4 space stays scannable in seconds.  The
-``is_semigroup`` check reuses that filter with the associativity
-identity: the violators are exactly the survivors it drops.  Other
-checks call their predicate on each survivor.  Results are
-independent of chunking and worker count: counts are summed and the
-first witness is the one with the smallest table index.
+The scan searches partial tables pruned per cell: a batch of tables
+with undefined cells (-1) takes each value of the next free cell, and
+every table in which a fully defined identity instance fails is
+dropped at once, with the subtree below it.  The ``is_semigroup``
+check reuses that filter with the associativity identity: the
+violators are exactly the survivors it drops.  Other checks call their
+predicate on each survivor.  Results are independent of chunking and
+worker count: counts are summed and the first witness is the one with
+the smallest table index.
 """
 
 from __future__ import annotations
@@ -75,95 +76,106 @@ def _free_cells(size: int, idempotent_only: bool) -> list[tuple[int, int]]:
     return cells
 
 
-def _materialize(indices: np.ndarray, size: int, cells: list[tuple[int, int]]) -> np.ndarray:
-    """Decode table indices into a (len(indices), size*size) batch."""
-    tables = np.zeros((indices.size, size * size), dtype=np.int64)
-    ncells = len(cells)
-    for c, (i, j) in enumerate(cells):
-        digit = (indices // size ** (ncells - 1 - c)) % size
-        tables[:, i * size + j] = digit
+def _root(size: int, cells: list[tuple[int, int]]) -> np.ndarray:
+    """The partial table with no free cell assigned, padded to (1, size+1, size+1) with -1."""
+    root = np.full((1, size + 1, size + 1), -1, dtype=np.int8)
     for d in range(size):
         if (d, d) not in cells:
-            tables[:, d * size + d] = d
+            root[0, d, d] = d
+    return root
+
+
+def _partial_product(tables: np.ndarray, size: int):
+    """Product of two element ints or per-table arrays across a batch of partial
+    tables (-1 = undefined).  The flat index of a -1 operand wraps around to the
+    padding, so the product is -1 too; int8 holds the index up to size 10.  All
+    tables of a batch have the same cells assigned, so the product of two ints
+    is the plain int -1 when their cell is unassigned."""
+    width = size + 1
+    tables = tables.reshape(len(tables), width * width)
+    rows = np.arange(len(tables))
+
+    def product(left, right):
+        flat = left * width + right
+        if not isinstance(flat, int):
+            return tables[rows, flat]
+        return -1 if tables[0, flat] < 0 else tables[:, flat]
+
+    return product
+
+
+def _prune(tables: np.ndarray, identities, size: int) -> np.ndarray:
+    """Drop the tables in which a fully defined identity instance fails."""
+    for ident in identities:
+        for values in itertools.product(range(size), repeat=len(ident.variables)):
+            if not len(tables):
+                return tables
+            env = dict(zip(ident.variables, values))
+            product = _partial_product(tables, size)
+            lhs = eval_term(ident.lhs, env, product)
+            rhs = eval_term(ident.rhs, env, product)
+            keep = np.broadcast_to((lhs < 0) | (rhs < 0) | (lhs == rhs), (len(tables),))
+            if not keep.all():
+                tables = tables[keep]
     return tables
+
+
+def _expand(frontier, identities, depth, size, cells, chunk, values):
+    """Prune ``frontier`` and yield in index order the full tables below it, giving
+    ``cells[depth]`` each of ``values`` in slices of at most ``chunk`` rows."""
+    frontier = _prune(frontier, identities, size)
+    if depth == len(cells):
+        yield frontier
+        return
+    i, j = cells[depth]
+    step = max(1, chunk // len(values))
+    for lo in range(0, len(frontier), step):
+        rows = np.repeat(frontier[lo:lo + step], len(values), axis=0)
+        rows[:, i, j] = np.tile(values, len(rows) // len(values))
+        yield from _expand(rows, identities, depth + 1, size, cells, chunk, range(size))
+
+
+def _table_index(tables: np.ndarray, size: int, cells: list[tuple[int, int]]) -> np.ndarray:
+    """Enumeration index of full tables: the free cells as base-``size`` digits."""
+    index = np.zeros(len(tables), dtype=np.int64)
+    for i, j in cells:
+        index = index * size + tables[:, i, j]
+    return index
 
 
 def all_tables(size: int, idempotent_only: bool) -> np.ndarray:
     """Every table of the given size as a (count, size, size) array, in
     enumeration order (all idempotent tables when ``idempotent_only``)."""
     cells = _free_cells(size, idempotent_only)
-    indices = np.arange(size ** len(cells), dtype=np.int64)
-    return _materialize(indices, size, cells).reshape(-1, size, size)
+    tables = _expand(_root(size, cells), [], 0, size, cells, DEFAULT_CHUNK, range(size))
+    return np.concatenate(list(tables))[:, :size, :size]
 
 
-def _batch_product(tables: np.ndarray, size: int):
-    """Product of two values across a table batch at one assignment.
-
-    A value is one element index shared by every table (a plain int)
-    or one element per table (an array over the batch); two plain ints
-    select a single table column.
-    """
-
-    def product(left, right):
-        flat = left * size + right
-        if isinstance(flat, (int, np.integer)):
-            return tables[:, int(flat)]
-        return np.take_along_axis(tables, flat[:, None], axis=1)[:, 0]
-
-    return product
-
-
-def _apply_identity_filters(tables, indices, identities, size):
-    """Keep only tables satisfying every identity at every assignment."""
-    for ident in identities:
-        variables = ident.variables
-        for values in itertools.product(range(size), repeat=len(variables)):
-            if not indices.size:
-                return tables, indices
-            env = dict(zip(variables, values))
-            product = _batch_product(tables, size)
-            lhs = eval_term(ident.lhs, env, product)
-            rhs = eval_term(ident.rhs, env, product)
-            eq = np.equal(lhs, rhs)
-            if eq is True or (isinstance(eq, np.bool_) and eq):
-                continue
-            keep = np.broadcast_to(eq, indices.shape)
-            if keep.all():
-                continue
-            tables = tables[keep]
-            indices = indices[keep]
-    return tables, indices
-
-
-def _scan_range(start, stop, size, cells, identities, check_name, chunk):
+def _scan_range(values, size, cells, identities, check_name, chunk):
+    """Scan the tables whose first free cell takes one of ``values``."""
     satisfying = 0
     violations = 0
     first_idx = None
     first_table = None
     check = CHECKS[check_name]
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        indices = np.arange(lo, hi, dtype=np.int64)
-        tables = _materialize(indices, size, cells)
-        tables, indices = _apply_identity_filters(tables, indices, identities, size)
-        satisfying += int(indices.size)
-        if not indices.size:
-            continue
+    for tables in _expand(_root(size, cells), identities, 0, size, cells, chunk, values):
+        satisfying += len(tables)
+        indices = _table_index(tables, size, cells)
         if check_name == "is_semigroup":
-            _, kept = _apply_identity_filters(tables, indices, (_ASSOCIATIVITY,), size)
+            kept = _table_index(_prune(tables, (_ASSOCIATIVITY,), size), size, cells)
             bad = np.setdiff1d(indices, kept, assume_unique=True)
             violations += int(bad.size)
             if first_idx is None and bad.size:
                 first_idx = int(bad[0])
-                first_table = tables[np.searchsorted(indices, first_idx)].copy()
+                first_table = tables[np.searchsorted(indices, first_idx), :size, :size].copy()
         else:
-            for k in range(indices.size):
-                g = Groupoid(tuple(str(e) for e in range(size)), tables[k].reshape(size, size))
+            for k in range(len(tables)):
+                g = Groupoid(tuple(str(e) for e in range(size)), tables[k, :size, :size])
                 if not check(g):
                     violations += 1
                     if first_idx is None:
                         first_idx = int(indices[k])
-                        first_table = tables[k].copy()
+                        first_table = tables[k, :size, :size].copy()
     return satisfying, violations, first_idx, first_table
 
 
@@ -177,10 +189,13 @@ def search_tables(
 ) -> SearchSummary:
     """Count tables that satisfy the given identities but fail the check.
 
-    Enumerates every table of the given size (all idempotent tables
-    when ``idempotent_only``), filters by the identities, and applies
-    the named check to the survivors.  Reports the count of violators
-    and the first one in enumeration order.
+    Covers every table of the given size (all idempotent tables when
+    ``idempotent_only``), builds only the partial tables no identity
+    instance rules out, and applies the named check to the survivors.
+    Reports the count of violators and the first one in enumeration
+    order.  ``chunk`` bounds the rows of a partial-table batch (a larger
+    one is expanded depth-first in slices); ``threads > 1`` gives each
+    worker process a contiguous share of the first free cell's values.
     """
     limit = MAX_SIZE_IDEMPOTENT if idempotent_only else MAX_SIZE_GENERAL
     if size < 1 or size > limit:
@@ -194,20 +209,15 @@ def search_tables(
     identities = tuple(satisfy)
 
     if threads > 1 and total > chunk:
-        spans = []
-        step = max(chunk, (total + threads - 1) // threads)
-        step = ((step + chunk - 1) // chunk) * chunk  # align to chunk
-        for lo in range(0, total, step):
-            spans.append((lo, min(lo + step, total)))
-        results = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        groups = np.array_split(np.arange(size), min(threads, size))
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
             futures = [
-                pool.submit(_scan_range, lo, hi, size, cells, identities, check, chunk)
-                for lo, hi in spans
+                pool.submit(_scan_range, group, size, cells, identities, check, chunk)
+                for group in groups
             ]
             results = [f.result() for f in futures]
     else:
-        results = [_scan_range(0, total, size, cells, identities, check, chunk)]
+        results = [_scan_range(range(size), size, cells, identities, check, chunk)]
 
     satisfying = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Groupoid
 from .errors import GuardError, ParseError
-from .nonassoc import defect_mask
+from .nonassoc import defect_slabs
 
 MAX_IDENTITY_VARS = 8
 _VECTOR_CHUNK = 1 << 22  # max assignment-space entries vectorized at once
@@ -249,7 +249,7 @@ def _holds_all(g: Groupoid, texts) -> bool:
 
 def is_semigroup(g: Groupoid) -> bool:
     """Associativity: no nonassociative triple in the whole table."""
-    return not defect_mask(g).any()
+    return not any(mask.any() for _, mask in defect_slabs(g))
 
 
 def is_left_zero(g: Groupoid) -> bool:

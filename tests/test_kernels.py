@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd.bracketings import enumerate_bracketings
+from grpd import nonassoc
+from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table
-from grpd.core import Groupoid
+from grpd.core import Groupoid, generate_subuniverse
 from grpd.errors import GuardError
-from grpd.nonassoc import ns_index
+from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
 from grpd.search import CHECKS, search_tables
 from grpd.spectrum import spectrum, term_function
 from grpd.terms import Identity, eval_term, evaluate, is_semigroup, prod, satisfies_identity, var
@@ -68,6 +70,56 @@ def test_associativity_kernel_matches_triple_loop(g):
     assert rep.ns_count == len(defects)
     assert list(rep.triples) == defects
     assert is_semigroup(g) == (not defects)
+
+
+def full_cube_census(g):
+    """(count, triples, sh_type, minimal_sh, semigroup) from the whole (n, n, n) cube."""
+    t = g.table
+    mask = t[t] != t[:, t]
+    triples = tuple(map(tuple, np.argwhere(mask)[:TRIPLE_LIST_CAP].tolist()))
+    count = int(mask.sum())
+    sh_type = minimal = None
+    if count == 1:
+        triple = triples[0]
+        sh_type = "".join("abc"[list(dict.fromkeys(triple)).index(x)] for x in triple)
+        minimal = generate_subuniverse(g, set(triple)) == frozenset(range(g.n))
+    return count, triples, sh_type, minimal, count == 0
+
+
+def sliced_census(g, rows):
+    """ns_index and is_semigroup with slabs of ``rows`` rows of a."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonassoc, "SLAB_CELLS", rows * g.n * g.n)
+        rep = ns_index(g)
+        return rep.ns_count, rep.triples, rep.sh_type, rep.minimal_sh, is_semigroup(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+                                 .map(lambda cells: groupoid_of(n, cells))),
+       st.integers(1, 3))
+def test_sliced_census_matches_full_cube(g, rows):
+    assert sliced_census(g, rows) == full_cube_census(g)
+
+
+@pytest.mark.parametrize("name", catalog_list())
+def test_sliced_census_on_catalog(name):
+    g = catalog_get(name).groupoid
+    assert sliced_census(g, 1) == full_cube_census(g)
+
+
+def test_sliced_census_lists_capped_triples_across_slabs():
+    # a left-zero semigroup with 5% of its cells rewritten at random
+    rng = np.random.default_rng(7)
+    t = np.repeat(np.arange(32), 32).reshape(32, 32)
+    hit = rng.random(t.shape) < 0.05
+    t[hit] = rng.integers(0, 32, hit.sum())
+    g = groupoid_of(32, t)
+    full = full_cube_census(g)
+    assert full[0] > TRIPLE_LIST_CAP
+    assert full[1][-1][0] >= 10  # the listed triples span more than five 2-row slabs
+    assert sliced_census(g, 2) == full
+    assert sliced_census(g, 1) == full
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,11 +2,126 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpd.core import Groupoid
 from grpd.errors import GuardError
-from grpd.search import search_tables
-from grpd.terms import is_semigroup, satisfies_identity, scheme_identity
+from grpd.search import CHECKS, all_tables, search_tables
+from grpd.terms import (
+    Identity,
+    eval_term,
+    is_semigroup,
+    parse_identity,
+    prod,
+    satisfies_identity,
+    scheme_identity,
+    var,
+)
+
+ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
+
+
+# -- brute-force reference: decode every table index, then filter ------------
+
+
+def decode_tables(size, idempotent_only):
+    """Every table as a (count, size*size) batch, first free cell most significant."""
+    cells = [(i, j) for i in range(size) for j in range(size) if not (idempotent_only and i == j)]
+    indices = np.arange(size ** len(cells), dtype=np.int64)
+    tables = np.zeros((indices.size, size * size), dtype=np.int64)
+    for c, (i, j) in enumerate(cells):
+        tables[:, i * size + j] = (indices // size ** (len(cells) - 1 - c)) % size
+    for d in range(size):
+        if (d, d) not in cells:
+            tables[:, d * size + d] = d
+    return tables, indices
+
+
+def filter_identities(tables, indices, identities, size):
+    """Keep the full tables satisfying every identity at every assignment."""
+    for ident in identities:
+        for values in itertools.product(range(size), repeat=len(ident.variables)):
+            env = dict(zip(ident.variables, values))
+            rows = np.arange(len(tables))
+
+            def product(a, b):
+                return tables[rows, a * size + b]
+
+            keep = np.broadcast_to(eval_term(ident.lhs, env, product) == eval_term(ident.rhs, env, product),
+                                   indices.shape)
+            tables, indices = tables[keep], indices[keep]
+    return tables, indices
+
+
+def brute_scan(size, idempotent_only, identities, check="is_semigroup"):
+    """(satisfying, violations, first witness index, first witness) by decode-then-filter."""
+    tables, indices = filter_identities(*decode_tables(size, idempotent_only), identities, size)
+    if check == "is_semigroup":
+        bad = np.setdiff1d(indices, filter_identities(tables, indices, [ASSOCIATIVITY], size)[1])
+    else:
+        names = tuple(str(e) for e in range(size))
+        bad = np.array([i for t, i in zip(tables, indices)
+                        if not CHECKS[check](Groupoid(names, t.reshape(size, size)))], dtype=np.int64)
+    if not bad.size:
+        return len(indices), 0, None, None
+    first = tables[np.searchsorted(indices, bad[0])].reshape(size, size)
+    return len(indices), int(bad.size), int(bad[0]), Groupoid(tuple(str(e) for e in range(size)), first)
+
+
+def scan(summary):
+    return (summary.satisfying, summary.violations, summary.first_witness_index, summary.first_witness)
+
+
+def terms_over(names):
+    return st.recursive(
+        st.sampled_from(names).map(var),
+        lambda sub: st.tuples(sub, sub).map(lambda pair: prod(*pair)),
+        max_leaves=5,
+    )
+
+
+identities = st.tuples(terms_over("xyz"), terms_over("xyz")).map(lambda sides: Identity(*sides))
+
+
+@pytest.mark.parametrize("idempotent_only", [False, True])
+@settings(max_examples=12, deadline=None)
+@given(ident=identities, check=st.sampled_from(["is_semigroup", "is_left_zero"]),
+       chunk=st.sampled_from([1, 7, 1 << 20]), threads=st.sampled_from([1, 2]))
+def test_pruned_search_matches_brute_force(idempotent_only, ident, check, chunk, threads):
+    summary = search_tables(3, idempotent_only, [ident], check, threads=threads, chunk=chunk)
+    assert summary.total == 3 ** (6 if idempotent_only else 9)
+    assert scan(summary) == brute_scan(3, idempotent_only, [ident], check)
+
+
+@pytest.mark.parametrize("idempotent_only", [False, True])
+@pytest.mark.parametrize("text", ["(x y) = z", "x = y", "(x y) = (y x)", "((x x) y) = x"])
+def test_pruned_search_edge_cases(idempotent_only, text):
+    ident = parse_identity(text)
+    for size in (1, 2, 3):
+        for threads, chunk in ((1, 1 << 20), (2, 1)):
+            summary = search_tables(size, idempotent_only, [ident], threads=threads, chunk=chunk)
+            assert scan(summary) == brute_scan(size, idempotent_only, [ident])
+
+
+def test_identity_no_table_satisfies():
+    for ident in (parse_identity("(x y) = z"), parse_identity("x = y")):
+        assert scan(search_tables(3, False, [ident], chunk=5)) == (0, 0, None, None)
+        assert scan(search_tables(1, True, [ident])) == (1, 0, None, None)
+
+
+def test_all_tables_in_index_order():
+    for size, idempotent_only in ((1, True), (1, False), (2, False), (3, True)):
+        tables, _ = decode_tables(size, idempotent_only)
+        assert np.array_equal(all_tables(size, idempotent_only), tables.reshape(-1, size, size))
+
+
+def test_size4_pinned_scans():
+    summary = search_tables(4, True, [scheme_identity("left_eq_right", 4)])
+    assert (summary.total, *scan(summary)) == (4 ** 12, 604, 0, None, None)
+    summary = search_tables(4, True, [scheme_identity("nulla", 4)], chunk=1000)
+    assert scan(summary)[:3] == (700, 96, 41286)
+    assert summary.first_witness.table.tolist() == [[0, 0, 0, 0], [0, 1, 2, 2], [0, 1, 2, 1], [0, 1, 2, 3]]
 
 
 def all_idempotent_3():
