@@ -41,6 +41,7 @@ from .nonassoc import check_sh_factor_property, ns_index
 from .search import all_tables, search_tables
 from .spectrum import nulla_satisfied, spectrum, spectrum_ak_oracle
 from .terms import (
+    CHECK_IDENTITIES,
     evaluate,
     in_A,
     in_B,
@@ -60,7 +61,7 @@ from .terms import (
 
 SPECTRUM_CLAIM_BUDGET = 2 * 10 ** 8  # criterion-sized; the CLI default stays 1e8
 
-B1_EQ_B2 = "(x (y (z u))) = (x ((y z) u))"
+B1_EQ_B2 = CHECK_IDENTITIES["in_A"][0]
 
 
 @dataclass(frozen=True)

@@ -5,57 +5,34 @@ most significant digit), optionally restricted to idempotent tables.
 The scan searches partial tables pruned per cell: a batch of tables
 with undefined cells (-1) takes each value of the next free cell, and
 every table in which a fully defined identity instance fails is
-dropped at once, with the subtree below it.  The ``is_semigroup``
-check reuses that filter with the associativity identity: the
-violators are exactly the survivors it drops.  Other checks call their
-predicate on each survivor.  Results are independent of chunking and
-worker count: counts are summed and the first witness is the one with
-the smallest table index.
+dropped at once, with the subtree below it.  An instance is evaluated
+only from the depth at which the cells its products of two variables
+read are assigned.  A check is the same filter run on the full tables
+that survive, with the check's identities from
+``terms.CHECK_IDENTITIES`` (plus ``in_D``'s absorption scheme on the
+few tables that pass them): the violators are exactly the survivors it
+drops.  Results are independent of chunking and worker count: counts
+are summed and the first witness is the one with the smallest table
+index.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import terms
 from .core import Groupoid
 from .errors import GuardError
-from .terms import (
-    Identity,
-    eval_term,
-    in_A,
-    in_B,
-    in_D,
-    in_D_cap_A,
-    is_left_regular_band,
-    is_left_zero,
-    is_rect_band,
-    is_right_regular_band,
-    is_right_zero,
-    is_semigroup,
-    parse_identity,
-)
+from .terms import CHECK_IDENTITIES, CHECK_SCHEMES, Identity, eval_term, parse_identity
 
 MAX_SIZE_IDEMPOTENT = 4
 MAX_SIZE_GENERAL = 3
 DEFAULT_CHUNK = 1 << 20
-_ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
 
-CHECKS = {
-    "is_semigroup": is_semigroup,
-    "is_left_zero": is_left_zero,
-    "is_right_zero": is_right_zero,
-    "is_rect_band": is_rect_band,
-    "is_left_regular_band": is_left_regular_band,
-    "is_right_regular_band": is_right_regular_band,
-    "in_B": in_B,
-    "in_A": in_A,
-    "in_D": in_D,
-    "in_D_cap_A": in_D_cap_A,
-}
+CHECKS = {name: getattr(terms, name) for name in CHECK_IDENTITIES}
 
 
 @dataclass(frozen=True)
@@ -88,42 +65,60 @@ def _root(size: int, cells: list[tuple[int, int]]) -> np.ndarray:
 def _partial_product(tables: np.ndarray, size: int):
     """Product of two element ints or per-table arrays across a batch of partial
     tables (-1 = undefined).  The flat index of a -1 operand wraps around to the
-    padding, so the product is -1 too; int8 holds the index up to size 10.  All
-    tables of a batch have the same cells assigned, so the product of two ints
-    is the plain int -1 when their cell is unassigned."""
+    padding, so the product is -1 too; int8 holds the index up to size 10.  Two
+    ints read one column, which is -1 throughout while their cell is unassigned."""
     width = size + 1
     tables = tables.reshape(len(tables), width * width)
     rows = np.arange(len(tables))
 
     def product(left, right):
         flat = left * width + right
-        if not isinstance(flat, int):
-            return tables[rows, flat]
-        return -1 if tables[0, flat] < 0 else tables[:, flat]
+        return tables[:, flat] if isinstance(flat, int) else tables[rows, flat]
 
     return product
 
 
-def _prune(tables: np.ndarray, identities, size: int) -> np.ndarray:
-    """Drop the tables in which a fully defined identity instance fails."""
+def _leaf_products(t) -> list[tuple[str, str]]:
+    """The products of two variables in a term, as pairs of variable names."""
+    if t.is_var:
+        return []
+    if t.left.is_var and t.right.is_var:
+        return [(t.left.name, t.right.name)]
+    return _leaf_products(t.left) + _leaf_products(t.right)
+
+
+def _instances(identities, size: int, cells: list[tuple[int, int]], depth: int):
+    """Yield the (identity, assignment) instances to evaluate at ``depth``: those
+    whose products of two variables read no free cell from ``cells[depth]`` on."""
+    unassigned = set(cells[depth:])
     for ident in identities:
-        for values in itertools.product(range(size), repeat=len(ident.variables)):
-            if not len(tables):
-                return tables
-            env = dict(zip(ident.variables, values))
+        names = ident.variables
+        leaves = _leaf_products(ident.lhs) + _leaf_products(ident.rhs)
+        for values in itertools.product(range(size), repeat=len(names)):
+            env = dict(zip(names, values))
+            if not any((env[a], env[b]) in unassigned for a, b in leaves):
+                yield ident, env
+
+
+def _prune(tables: np.ndarray, instances, size: int) -> np.ndarray:
+    """Drop the tables in which a fully defined identity instance fails."""
+    product = _partial_product(tables, size)
+    for ident, env in instances:
+        if not len(tables):
+            break
+        lhs = eval_term(ident.lhs, env, product)
+        rhs = eval_term(ident.rhs, env, product)
+        keep = np.broadcast_to((lhs < 0) | (rhs < 0) | (lhs == rhs), (len(tables),))
+        if not keep.all():
+            tables = tables[keep]
             product = _partial_product(tables, size)
-            lhs = eval_term(ident.lhs, env, product)
-            rhs = eval_term(ident.rhs, env, product)
-            keep = np.broadcast_to((lhs < 0) | (rhs < 0) | (lhs == rhs), (len(tables),))
-            if not keep.all():
-                tables = tables[keep]
     return tables
 
 
 def _expand(frontier, identities, depth, size, cells, chunk, values):
     """Prune ``frontier`` and yield in index order the full tables below it, giving
     ``cells[depth]`` each of ``values`` in slices of at most ``chunk`` rows."""
-    frontier = _prune(frontier, identities, size)
+    frontier = _prune(frontier, _instances(identities, size, cells, depth), size)
     if depth == len(cells):
         yield frontier
         return
@@ -143,39 +138,37 @@ def _table_index(tables: np.ndarray, size: int, cells: list[tuple[int, int]]) ->
     return index
 
 
+def _groupoid(table: np.ndarray) -> Groupoid:
+    return Groupoid(tuple(str(e) for e in range(len(table))), table)
+
+
 def all_tables(size: int, idempotent_only: bool) -> np.ndarray:
     """Every table of the given size as a (count, size, size) array, in
     enumeration order (all idempotent tables when ``idempotent_only``)."""
     cells = _free_cells(size, idempotent_only)
-    tables = _expand(_root(size, cells), [], 0, size, cells, DEFAULT_CHUNK, range(size))
+    tables = _expand(_root(size, cells), (), 0, size, cells, DEFAULT_CHUNK, range(size))
     return np.concatenate(list(tables))[:, :size, :size]
 
 
-def _scan_range(values, size, cells, identities, check_name, chunk):
+def _scan_range(values, size, cells, identities, check, chunk):
     """Scan the tables whose first free cell takes one of ``values``."""
     satisfying = 0
     violations = 0
     first_idx = None
     first_table = None
-    check = CHECKS[check_name]
+    members = [parse_identity(t) for t in CHECK_IDENTITIES[check]]
+    scheme = CHECK_SCHEMES.get(check)
     for tables in _expand(_root(size, cells), identities, 0, size, cells, chunk, values):
         satisfying += len(tables)
         indices = _table_index(tables, size, cells)
-        if check_name == "is_semigroup":
-            kept = _table_index(_prune(tables, (_ASSOCIATIVITY,), size), size, cells)
-            bad = np.setdiff1d(indices, kept, assume_unique=True)
-            violations += int(bad.size)
-            if first_idx is None and bad.size:
-                first_idx = int(bad[0])
-                first_table = tables[np.searchsorted(indices, first_idx), :size, :size].copy()
-        else:
-            for k in range(len(tables)):
-                g = Groupoid(tuple(str(e) for e in range(size)), tables[k, :size, :size])
-                if not check(g):
-                    violations += 1
-                    if first_idx is None:
-                        first_idx = int(indices[k])
-                        first_table = tables[k, :size, :size].copy()
+        kept = _prune(tables, _instances(members, size, cells, len(cells)), size)
+        if scheme is not None:
+            kept = kept[np.array([scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
+        bad = np.setdiff1d(indices, _table_index(kept, size, cells), assume_unique=True)
+        violations += int(bad.size)
+        if first_idx is None and bad.size:
+            first_idx = int(bad[0])
+            first_table = tables[np.searchsorted(indices, first_idx), :size, :size].copy()
     return satisfying, violations, first_idx, first_table
 
 
@@ -191,9 +184,10 @@ def search_tables(
 
     Covers every table of the given size (all idempotent tables when
     ``idempotent_only``), builds only the partial tables no identity
-    instance rules out, and applies the named check to the survivors.
-    Reports the count of violators and the first one in enumeration
-    order.  ``chunk`` bounds the rows of a partial-table batch (a larger
+    instance rules out, and runs the full tables that survive through
+    the same filter with the identities of the named check (then its
+    scheme, if any): the tables it drops are the violators.  Reports
+    their count and the first one in enumeration order.  ``chunk`` bounds the rows of a partial-table batch (a larger
     one is expanded depth-first in slices); ``threads > 1`` gives each
     worker process a contiguous share of the first free cell's values.
     """
@@ -209,6 +203,8 @@ def search_tables(
     identities = tuple(satisfy)
 
     if threads > 1 and total > chunk:
+        from concurrent.futures import ProcessPoolExecutor
+
         groups = np.array_split(np.arange(size), min(threads, size))
         with ProcessPoolExecutor(max_workers=len(groups)) as pool:
             futures = [
@@ -227,7 +223,5 @@ def search_tables(
         if idx is not None and (first_idx is None or idx < first_idx):
             first_idx = idx
             first_table = table
-    witness = None
-    if first_table is not None:
-        witness = Groupoid(tuple(str(e) for e in range(size)), first_table.reshape(size, size))
+    witness = None if first_table is None else _groupoid(first_table)
     return SearchSummary(size, idempotent_only, total, satisfying, violations, first_idx, witness)

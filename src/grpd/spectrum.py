@@ -20,7 +20,6 @@ from .bracketings import (
     enumerate_bracketings,
     leaf,
     left_assoc,
-    left_depth_sequence,
     pair,
 )
 from .core import Groupoid
@@ -203,12 +202,3 @@ def nulla_satisfied(g: Groupoid, n: int, budget: int = DEFAULT_BUDGET) -> bool:
         return term_function(g, lhs, budget) == term_function(g, rhs, budget)
     ok, _ = satisfies_identity(g, scheme_identity("nulla", n))
     return ok
-
-
-def left_depth_spectrum_classes(n: int, k: int) -> dict[tuple[int, ...], list[int]]:
-    """Group bracketing indices of size n by mod-k left-depth sequence."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, b in enumerate(enumerate_bracketings(n)):
-        key = tuple(d % k for d in left_depth_sequence(b))
-        groups.setdefault(key, []).append(idx)
-    return groups

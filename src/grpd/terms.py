@@ -220,31 +220,32 @@ def _ident(text: str) -> Identity:
     return parse_identity(text)
 
 
-_B_IDENTITIES = (
-    "(x x) = x",
-    "(x (x y)) = (x y)",
-    "(x (y x)) = (x y)",
-    "((x y) x) = (x y)",
-    "((x y) y) = (x y)",
-    "((x y) (y x)) = (x y)",
-)
+ASSOCIATIVITY = "((x y) z) = (x (y z))"
+_IDEMPOTENCE = "(x x) = x"
+_XY_Y = "((x y) y) = (x y)"
+_X_YZ = "(x (y z)) = (x y)"
+_D = ("(x (y x)) = (x y)", "((x y) x) = (x y)", _XY_Y, "((x y) (y x)) = (x y)")
 
-_D_IDENTITIES = (
-    "(x (y x)) = (x y)",
-    "((x y) x) = (x y)",
-    "((x y) y) = (x y)",
-    "((x y) (y x)) = (x y)",
-)
-
-_D_CAP_A_IDENTITIES = (
-    "(x x) = x",
-    "(x (y z)) = (x y)",
-    "((x y) y) = (x y)",
-)
+# Each named check as the identities that define it (``in_D`` adds
+# ``CHECK_SCHEMES``); the predicates below and ``search`` both read it.
+CHECK_IDENTITIES = {
+    "is_semigroup": (ASSOCIATIVITY,),
+    "is_left_zero": ("(x y) = x",),
+    "is_right_zero": ("(x y) = y",),
+    "is_rect_band": (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = x"),
+    "is_left_regular_band": (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = (x y)"),
+    "is_right_regular_band": (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = (y x)"),
+    "in_B": (_IDEMPOTENCE, "(x (x y)) = (x y)") + _D,
+    "in_A": ("(x (y (z u))) = (x ((y z) u))",),
+    "in_D": _D,
+    "in_D_cap_A": (_IDEMPOTENCE, _X_YZ, _XY_Y),
+}
 
 
 def _holds_all(g: Groupoid, texts) -> bool:
-    return all(satisfies_identity(g, _ident(t))[0] for t in texts)
+    """Every identity holds; associativity is decided by ``is_semigroup``."""
+    return all(is_semigroup(g) if t == ASSOCIATIVITY else satisfies_identity(g, _ident(t))[0]
+               for t in texts)
 
 
 def is_semigroup(g: Groupoid) -> bool:
@@ -253,32 +254,32 @@ def is_semigroup(g: Groupoid) -> bool:
 
 
 def is_left_zero(g: Groupoid) -> bool:
-    return _holds_all(g, ("(x y) = x",))
+    return _holds_all(g, CHECK_IDENTITIES["is_left_zero"])
 
 
 def is_right_zero(g: Groupoid) -> bool:
-    return _holds_all(g, ("(x y) = y",))
+    return _holds_all(g, CHECK_IDENTITIES["is_right_zero"])
 
 
 def is_rect_band(g: Groupoid) -> bool:
     """Idempotent semigroup with xyx = x."""
-    return is_semigroup(g) and _holds_all(g, ("(x x) = x", "((x y) x) = x"))
+    return _holds_all(g, CHECK_IDENTITIES["is_rect_band"])
 
 
 def is_left_regular_band(g: Groupoid) -> bool:
     """Idempotent semigroup with xyx = xy."""
-    return is_semigroup(g) and _holds_all(g, ("(x x) = x", "((x y) x) = (x y)"))
+    return _holds_all(g, CHECK_IDENTITIES["is_left_regular_band"])
 
 
 def is_right_regular_band(g: Groupoid) -> bool:
     """Idempotent semigroup with xyx = yx."""
-    return is_semigroup(g) and _holds_all(g, ("(x x) = x", "((x y) x) = (y x)"))
+    return _holds_all(g, CHECK_IDENTITIES["is_right_regular_band"])
 
 
 def in_B(g: Groupoid) -> bool:
     """Membership in the variety defined by xx=x and
     x(xy)=x(yx)=(xy)x=(xy)y=(xy)(yx)=xy."""
-    return _holds_all(g, _B_IDENTITIES)
+    return _holds_all(g, CHECK_IDENTITIES["in_B"])
 
 
 def _is_prime(p: int) -> bool:
@@ -302,14 +303,14 @@ def in_Cp(g: Groupoid, p: int) -> bool:
         raise ValueError(f"p must be prime, got {p}")
     power = Identity(_left_power(var("x"), var("y"), p), var("x"))
     return (
-        _holds_all(g, ("(x x) = x", "(x (y z)) = (x y)", "((x y) z) = ((x z) y)"))
+        _holds_all(g, (_IDEMPOTENCE, _X_YZ, "((x y) z) = ((x z) y)"))
         and satisfies_identity(g, power)[0]
     )
 
 
 def in_A(g: Groupoid) -> bool:
     """Membership in the variety defined by x(y(zu)) = x((yz)u)."""
-    return _holds_all(g, ("(x (y (z u))) = (x ((y z) u))",))
+    return _holds_all(g, CHECK_IDENTITIES["in_A"])
 
 
 def satisfies_D_scheme(g: Groupoid) -> bool:
@@ -338,12 +339,16 @@ def in_D(g: Groupoid) -> bool:
     """Membership in the variety defined by
     x(yx)=(xy)x=(xy)y=(xy)(yx)=xy plus the absorption scheme
     x * (left-assoc x*y1*...*yk) = x."""
-    return _holds_all(g, _D_IDENTITIES) and satisfies_D_scheme(g)
+    return _holds_all(g, CHECK_IDENTITIES["in_D"]) and satisfies_D_scheme(g)
 
 
 def in_D_cap_A(g: Groupoid) -> bool:
     """The finitely based intersection: xx=x, x(yz)=xy, (xy)y=xy."""
-    return _holds_all(g, _D_CAP_A_IDENTITIES)
+    return _holds_all(g, CHECK_IDENTITIES["in_D_cap_A"])
+
+
+# The one check that identities alone do not define.
+CHECK_SCHEMES = {"in_D": satisfies_D_scheme}
 
 
 # ---------------------------------------------------------------------------

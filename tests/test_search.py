@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -9,11 +10,14 @@ from grpd.core import Groupoid
 from grpd.errors import GuardError
 from grpd.search import CHECKS, all_tables, search_tables
 from grpd.terms import (
+    CHECK_IDENTITIES,
     Identity,
     eval_term,
+    in_D,
     is_semigroup,
     parse_identity,
     prod,
+    satisfies_D_scheme,
     satisfies_identity,
     scheme_identity,
     var,
@@ -122,6 +126,60 @@ def test_size4_pinned_scans():
     summary = search_tables(4, True, [scheme_identity("nulla", 4)], chunk=1000)
     assert scan(summary)[:3] == (700, 96, 41286)
     assert summary.first_witness.table.tolist() == [[0, 0, 0, 0], [0, 1, 2, 2], [0, 1, 2, 1], [0, 1, 2, 3]]
+
+
+@functools.lru_cache(maxsize=None)
+def size3_groupoids(idempotent_only):
+    tables, _ = decode_tables(3, idempotent_only)
+    return [Groupoid(("0", "1", "2"), t.reshape(3, 3)) for t in tables]
+
+
+@pytest.mark.parametrize("idempotent_only", [False, True])
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_every_check_matches_its_predicate_on_all_size3_tables(check, idempotent_only):
+    groupoids = size3_groupoids(idempotent_only)
+    bad = [k for k, g in enumerate(groupoids) if not CHECKS[check](g)]
+    expected = (len(groupoids), len(bad), bad[0] if bad else None, groupoids[bad[0]] if bad else None)
+    assert scan(search_tables(3, idempotent_only, [], check)) == expected
+    assert scan(search_tables(3, idempotent_only, [], check, threads=2, chunk=500)) == expected
+
+
+# (violations, first witness index) of the unfiltered size-3 sweep over all 19,683 tables
+SIZE3_SWEEPS = {
+    "in_A": (19220, 3),
+    "in_B": (19647, 0),
+    "in_D": (19676, 0),
+    "in_D_cap_A": (19676, 0),
+    "is_left_regular_band": (19661, 0),
+    "is_left_zero": (19682, 0),
+    "is_rect_band": (19681, 0),
+    "is_right_regular_band": (19661, 0),
+    "is_right_zero": (19682, 0),
+    "is_semigroup": (19570, 3),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SIZE3_SWEEPS))
+def test_size3_sweeps_pinned(check):
+    summary = search_tables(3, False, [], check)
+    assert (summary.total, summary.satisfying) == (19683, 19683)
+    assert (summary.violations, summary.first_witness_index) == SIZE3_SWEEPS[check]
+
+
+def test_in_D_absorption_scheme_rejects_tables_passing_its_identities():
+    # the constant table satisfies D's identities, but 1 * (1 * 1) = 0 != 1
+    zero = Groupoid(("0", "1"), [[0, 0], [0, 0]])
+    assert all(satisfies_identity(zero, parse_identity(t))[0] for t in CHECK_IDENTITIES["in_D"])
+    assert not satisfies_D_scheme(zero)
+    assert not in_D(zero)
+    d_identities = [parse_identity(t) for t in CHECK_IDENTITIES["in_D"]]
+    summary = search_tables(2, False, d_identities, "in_D")
+    assert scan(summary) == (5, 4, 0, zero)
+    for threads, chunk in ((1, 1 << 20), (2, 7)):
+        summary = search_tables(3, False, d_identities, "in_D", threads=threads, chunk=chunk)
+        assert (summary.satisfying, summary.violations) == (78, 71)
+        summary = search_tables(3, True, d_identities, "in_D", threads=threads, chunk=chunk)
+        assert (summary.satisfying, summary.violations) == (45, 38)
 
 
 def all_idempotent_3():

@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from grpd.bracketings import catalan, enumerate_bracketings, left_assoc, parse_bracketing
+from grpd.bracketings import catalan, enumerate_bracketings, left_assoc, left_depth_sequence, parse_bracketing
 from grpd.catalog import build_ak, catalog_get, catalog_list
 from grpd.core import Groupoid
 from grpd.errors import GuardError
 from grpd.nonassoc import ns_index
 from grpd.spectrum import (
     OpTable,
-    left_depth_spectrum_classes,
     nulla_satisfied,
     spectrum,
     spectrum_ak_oracle,
@@ -161,6 +160,15 @@ def test_oracle_matches_brute_force():
     for k in (2, 3, 4):
         g = build_ak(k)
         assert tuple(spectrum_ak_oracle(k, 5)) == spectrum(g, 5).values
+
+
+def left_depth_spectrum_classes(n: int, k: int) -> dict[tuple[int, ...], list[int]]:
+    """Group bracketing indices of size n by mod-k left-depth sequence."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for idx, b in enumerate(enumerate_bracketings(n)):
+        key = tuple(d % k for d in left_depth_sequence(b))
+        groups.setdefault(key, []).append(idx)
+    return groups
 
 
 def test_oracle_class_structure_matches_brute_force():
