@@ -7,8 +7,6 @@ catalog of reference tables with a claim harness over all of it.
 """
 
 from .bracketings import (
-    Bracketing,
-    bracketing_to_string,
     catalan,
     enumerate_bracketings,
     left_assoc,
@@ -83,6 +81,7 @@ from .terms import (
     satisfies_D_scheme,
     satisfies_identity,
     scheme_identity,
+    term_to_string,
 )
 
 __version__ = "0.1.0"

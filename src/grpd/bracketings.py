@@ -1,58 +1,21 @@
-"""Bracketings: full binary trees over the ordered variables x1..xn.
+"""Bracketings: the terms over x1..xn in which each variable occurs once, in order.
 
 A bracketing is one way to parenthesize the product x1*...*xn; there
-are C(n-1) of them (Catalan).  Leaves carry 1-based positions.
+are C(n-1) of them (Catalan).  Each is a ``terms.Term``, printed by
+``term_to_string`` and tabulated by ``spectrum.term_function`` like any
+other term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import GuardError, ParseError
+from .terms import Term, _left_assoc_term, _right_assoc_term, parse_term, prod, var
 
 CATALAN_MAX_N = 20
 ENUM_MAX_N = 14
-
-
-@dataclass(frozen=True)
-class Bracketing:
-    """Leaf (``pos`` set) or pair of factors (``left``/``right`` set)."""
-
-    pos: int | None = None
-    left: Bracketing | None = None
-    right: Bracketing | None = None
-
-    def __post_init__(self):
-        if (self.pos is None) == (self.left is None or self.right is None):
-            raise ValueError("a bracketing is either a leaf or a pair of factors")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.pos is not None
-
-    @property
-    def size(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.size + self.right.size
-
-    def leaves(self) -> list[int]:
-        if self.is_leaf:
-            return [self.pos]
-        return self.left.leaves() + self.right.leaves()
-
-    def __repr__(self):
-        return f"Bracketing({bracketing_to_string(self)})"
-
-
-def leaf(pos: int) -> Bracketing:
-    return Bracketing(pos=pos)
-
-
-def pair(left: Bracketing, right: Bracketing) -> Bracketing:
-    return Bracketing(left=left, right=right)
 
 
 def catalan(n: int) -> int:
@@ -64,7 +27,13 @@ def catalan(n: int) -> int:
     return math.comb(2 * n - 2, n - 1) // n
 
 
-def enumerate_bracketings(n: int) -> list[Bracketing]:
+def _positions(n: int) -> list[str]:
+    if n < 1:
+        raise ValueError("size must be >= 1")
+    return [f"x{i}" for i in range(1, n + 1)]
+
+
+def enumerate_bracketings(n: int) -> list[Term]:
     """All bracketings of size n in a fixed deterministic order.
 
     Order: split by left-factor size ascending, then recursively the
@@ -76,46 +45,36 @@ def enumerate_bracketings(n: int) -> list[Bracketing]:
         raise GuardError(f"bracketing enumeration capped at n={ENUM_MAX_N}")
 
     @lru_cache(maxsize=None)
-    def span(start: int, length: int) -> tuple[Bracketing, ...]:
+    def span(start: int, length: int) -> tuple[Term, ...]:
         if length == 1:
-            return (leaf(start),)
+            return (var(f"x{start}"),)
         out = []
         for k in range(1, length):
             for lt in span(start, k):
                 for rt in span(start + k, length - k):
-                    out.append(pair(lt, rt))
+                    out.append(prod(lt, rt))
         return tuple(out)
 
     return list(span(1, n))
 
 
-def left_assoc(n: int) -> Bracketing:
+def left_assoc(n: int) -> Term:
     """The fully left-nested bracketing (..((x1 x2) x3)..) xn."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    b = leaf(1)
-    for i in range(2, n + 1):
-        b = pair(b, leaf(i))
-    return b
+    return _left_assoc_term(_positions(n))
 
 
-def right_assoc(n: int) -> Bracketing:
+def right_assoc(n: int) -> Term:
     """The fully right-nested bracketing x1 (x2 (.. (x{n-1} xn)..))."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    b = leaf(n)
-    for i in range(n - 1, 0, -1):
-        b = pair(leaf(i), b)
-    return b
+    return _right_assoc_term(_positions(n))
 
 
-def left_depth_sequence(b: Bracketing) -> list[int]:
+def left_depth_sequence(b: Term) -> list[int]:
     """For each leaf in position order, the number of left-child edges
     on its root-to-leaf path."""
     out = []
 
-    def walk(t: Bracketing, depth: int):
-        if t.is_leaf:
+    def walk(t: Term, depth: int):
+        if t.is_var:
             out.append(depth)
         else:
             walk(t.left, depth + 1)
@@ -125,47 +84,10 @@ def left_depth_sequence(b: Bracketing) -> list[int]:
     return out
 
 
-def bracketing_to_string(b: Bracketing) -> str:
-    """Render with x1..xn leaves and parentheses around every product."""
-    if b.is_leaf:
-        return f"x{b.pos}"
-    return f"({bracketing_to_string(b.left)} {bracketing_to_string(b.right)})"
-
-
-def parse_bracketing(text: str) -> Bracketing:
-    """Inverse of bracketing_to_string; validates leaf positions 1..n in order."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    if not tokens:
-        raise ParseError("empty bracketing")
-    idx = 0
-
-    def parse_node() -> Bracketing:
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ParseError("unbalanced parenthesis", idx)
-        tok = tokens[idx]
-        if tok == "(":
-            idx += 1
-            lt = parse_node()
-            rt = parse_node()
-            if idx >= len(tokens) or tokens[idx] != ")":
-                raise ParseError("unbalanced parenthesis", idx)
-            idx += 1
-            return pair(lt, rt)
-        if tok == ")":
-            raise ParseError("unexpected ')'", idx)
-        if not tok.startswith("x"):
-            raise ParseError(f"bad leaf token {tok!r}", idx)
-        try:
-            position = int(tok[1:])
-        except ValueError:
-            raise ParseError(f"bad leaf token {tok!r}", idx) from None
-        idx += 1
-        return leaf(position)
-
-    tree = parse_node()
-    if idx != len(tokens):
-        raise ParseError("trailing input after bracketing", idx)
-    if tree.leaves() != list(range(1, tree.size + 1)):
+def parse_bracketing(text: str) -> Term:
+    """Parse a term and check that its leaves are x1..xn, each once, in order."""
+    tree = parse_term(text)
+    leaves = text.replace("(", " ").replace(")", " ").split()
+    if leaves != _positions(len(leaves)):
         raise ParseError("positions out of order")
     return tree

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bracketings import bracketing_to_string, catalan, enumerate_bracketings
+from .bracketings import catalan, enumerate_bracketings
 from .catalog import build_ak, catalog_get, catalog_list
 from .clone import (
     binary_minimality_proxy,
@@ -57,6 +57,7 @@ from .terms import (
     satisfies_D_scheme,
     satisfies_identity,
     scheme_identity,
+    term_to_string,
 )
 
 SPECTRUM_CLAIM_BUDGET = 2 * 10 ** 8  # criterion-sized; the CLI default stays 1e8
@@ -160,7 +161,7 @@ def _claim_size4_bracketings(get):
         "(((x1 x2) x3) x4)",
         "((x1 (x2 x3)) x4)",
     }
-    got = {bracketing_to_string(b) for b in enumerate_bracketings(4)}
+    got = {term_to_string(b) for b in enumerate_bracketings(4)}
     if got != want:
         return False, f"size-4 bracketings differ: {sorted(got)}"
     return True, "the five size-4 bracketings enumerate exactly"

@@ -20,8 +20,8 @@ import numpy as np
 
 from .core import Groupoid, SubsetWitness, enumerate_partitions, partition_preserved_by
 from .errors import GuardError
-from .spectrum import OpTable
-from .terms import Term, eval_term
+from .spectrum import OpTable, term_function
+from .terms import Term
 
 CLONE_GUARD = 10 ** 5
 WITNESS_SUBSET_MAX_N = 20
@@ -174,11 +174,7 @@ def binary_term_table(g: Groupoid, term: Term) -> OpTable:
     extra = set(term.variables) - {"x", "y"}
     if extra:
         raise ValueError(f"term must only use variables x and y, found {sorted(extra)}")
-    e1, e2 = _projections(g.n)
-    table = g.table
-    arr = eval_term(term, {"x": e1, "y": e2}, lambda a, b: table[a, b])
-    full = np.broadcast_to(arr, (g.n, g.n))
-    return OpTable(2, g.n, full.reshape(-1).copy())
+    return term_function(g, term, variables=("x", "y"))
 
 
 def _subset_preserved_by(table: np.ndarray, members: np.ndarray) -> bool:

@@ -31,6 +31,7 @@ from .terms import CHECK_IDENTITIES, CHECK_SCHEMES, Identity, eval_term, parse_i
 MAX_SIZE_IDEMPOTENT = 4
 MAX_SIZE_GENERAL = 3
 DEFAULT_CHUNK = 1 << 20
+MAX_INSTANCES = 1 << 16  # identity instances, summed over the --satisfy identities
 
 CHECKS = {name: getattr(terms, name) for name in CHECK_IDENTITIES}
 
@@ -190,6 +191,8 @@ def search_tables(
     their count and the first one in enumeration order.  ``chunk`` bounds the rows of a partial-table batch (a larger
     one is expanded depth-first in slices); ``threads > 1`` gives each
     worker process a contiguous share of the first free cell's values.
+    More than ``MAX_INSTANCES`` identity instances (size^variables,
+    summed over ``satisfy``) raise GuardError before any work.
     """
     limit = MAX_SIZE_IDEMPOTENT if idempotent_only else MAX_SIZE_GENERAL
     if size < 1 or size > limit:
@@ -198,9 +201,12 @@ def search_tables(
         )
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {sorted(CHECKS)}")
+    identities = tuple(satisfy)
+    instances = sum(size ** len(ident.variables) for ident in identities)
+    if instances > MAX_INSTANCES:
+        raise GuardError(f"search capped at {MAX_INSTANCES} identity instances ({instances} requested)")
     cells = _free_cells(size, idempotent_only)
     total = size ** len(cells)
-    identities = tuple(satisfy)
 
     if threads > 1 and total > chunk:
         from concurrent.futures import ProcessPoolExecutor

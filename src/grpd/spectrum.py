@@ -1,9 +1,11 @@
-"""Associative spectrum: term functions induced by bracketings.
+"""Associative spectrum and term tabulation.
 
 s(n) counts the distinct n-ary term functions arising from the C(n-1)
-bracketings of x1*...*xn.  Bracketings are evaluated over the whole
-tuple space with numpy broadcasting.  Equal-function classes are keyed
-by the exact bytes of each evaluation table, serialised in the smallest
+bracketings of x1*...*xn.  ``term_function`` tabulates any term over
+the whole tuple space with numpy broadcasting, one axis per variable;
+the spectrum evaluates the bracketings of one size the same way,
+sharing their proper subterms.  Equal-function classes are keyed by
+the exact bytes of each evaluation table, serialised in the smallest
 unsigned dtype that holds n-1, so two distinct functions never share a
 key on any carrier.
 """
@@ -14,17 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracketings import (
-    Bracketing,
-    catalan,
-    enumerate_bracketings,
-    leaf,
-    left_assoc,
-    pair,
-)
+from .bracketings import _positions, catalan, enumerate_bracketings
 from .core import Groupoid
 from .errors import GuardError
-from .terms import satisfies_identity, scheme_identity
+from .terms import Term, axis_env, satisfies_identity, scheme_identity
 
 DEFAULT_BUDGET = 10 ** 8
 SPECTRUM_MAX_N = 10
@@ -87,40 +82,39 @@ class SpectrumReport:
         return len(self.values)
 
 
-def _leaf_array(position: int, nleaves: int, n: int) -> np.ndarray:
-    shape = [1] * nleaves
-    shape[position - 1] = n
-    return np.arange(n, dtype=np.int64).reshape(shape)
+def _evaluate_tree(g: Groupoid, t: Term, env: dict, cache: dict, store: bool = False):
+    """Broadcast-evaluate a term over the axis arrays of ``env``.
 
-
-def _evaluate_tree(g: Groupoid, b: Bracketing, nleaves: int, cache: dict, store: bool = False):
-    """Broadcast-evaluate a bracketing over the full tuple space.
-
-    The result only spans the axes of the leaves that occur in the
-    subtree; callers broadcast to the full shape.  ``cache`` memoizes
-    proper subtrees across the bracketings of one size (keyed by
-    structure, which determines the leaf span).  The root's table is
-    not stored: a bracketing of one size is never a proper subtree of
-    another of that size, so it would never be looked up.
+    The result only spans the axes of the variables that occur in the
+    subterm; callers broadcast to the full shape.  ``cache`` memoizes
+    proper subterms (across the bracketings of one size in
+    ``spectrum``).  The root's table is not stored: a bracketing of one
+    size is never a proper subterm of another of that size, so it would
+    never be looked up.
     """
-    if b.is_leaf:
-        return _leaf_array(b.pos, nleaves, g.n)
-    out = cache.get(b)
+    if t.is_var:
+        return env[t.name]
+    out = cache.get(t)
     if out is None:
-        left = _evaluate_tree(g, b.left, nleaves, cache, True)
-        right = _evaluate_tree(g, b.right, nleaves, cache, True)
+        left = _evaluate_tree(g, t.left, env, cache, True)
+        right = _evaluate_tree(g, t.right, env, cache, True)
         out = g.table[left, right]
         if store:
-            cache[b] = out
+            cache[t] = out
     return out
 
 
-def term_function(g: Groupoid, b: Bracketing, budget: int = DEFAULT_BUDGET) -> OpTable:
-    """Tabulate the term function a bracketing induces on g."""
-    k = b.size
+def term_function(g: Groupoid, t: Term, budget: int = DEFAULT_BUDGET, variables=None) -> OpTable:
+    """Tabulate the term function t induces on g.
+
+    Axes follow ``variables``, or the order of first occurrence in t
+    when it is None.
+    """
+    names = t.variables if variables is None else tuple(variables)
+    k = len(names)
     if g.n ** k > budget:
         raise GuardError(f"evaluation budget exceeded ({g.n}^{k} > {budget})")
-    arr = _evaluate_tree(g, b, k, {})
+    arr = _evaluate_tree(g, t, axis_env(names, g.n), {})
     full = np.broadcast_to(arr, (g.n,) * k)
     return OpTable(k, g.n, full.reshape(-1).copy())
 
@@ -145,10 +139,11 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     for n in range(1, max_n + 1):
         if catalan(n) * g.n ** n > budget:
             break
+        env = axis_env(_positions(n), g.n)
         cache: dict = {}
         members: dict[bytes, list[int]] = {}  # table bytes -> bracketing indices
         for idx, b in enumerate(enumerate_bracketings(n)):
-            arr = np.broadcast_to(_evaluate_tree(g, b, n, cache), (g.n,) * n)
+            arr = np.broadcast_to(_evaluate_tree(g, b, env, cache), (g.n,) * n)
             data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
             members.setdefault(data, []).append(idx)
         values.append(len(members))
@@ -184,21 +179,12 @@ def spectrum_ak_oracle(k: int, max_n: int) -> list[int]:
 def nulla_satisfied(g: Groupoid, n: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Does g satisfy left-assoc(x1..xn) = x1*(left-assoc(x2..xn))?
 
-    Both sides are bracketings of distinct variables, so the check
-    compares the two induced term tables directly when that fits the
-    budget, falling back to the generic identity checker otherwise.
+    Both sides are bracketings of x1..xn, so the check compares the two
+    term tables directly when that fits the budget, falling back to the
+    generic identity checker otherwise.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    ident = scheme_identity("nulla", n)
     if g.n ** n <= budget:
-        def shift(b):
-            # move tail positions 1..n-1 to 2..n
-            if b.is_leaf:
-                return leaf(b.pos + 1)
-            return pair(shift(b.left), shift(b.right))
-
-        lhs = left_assoc(n)
-        rhs = pair(leaf(1), shift(left_assoc(n - 1)))
-        return term_function(g, lhs, budget) == term_function(g, rhs, budget)
-    ok, _ = satisfies_identity(g, scheme_identity("nulla", n))
+        return term_function(g, ident.lhs, budget) == term_function(g, ident.rhs, budget)
+    ok, _ = satisfies_identity(g, ident)
     return ok

@@ -1,6 +1,7 @@
 """Groupoid terms, identities, and variety membership predicates.
 
-Terms allow repeated variables (unlike bracketings).  Identity checks
+Terms may repeat variables; a bracketing (``grpd.bracketings``) is the
+term over x1..xn in which each occurs once, in order.  Identity checks
 are exhaustive over all assignments; on failure the lexicographically
 first failing assignment is reported.
 """
@@ -85,7 +86,24 @@ def prod(left: Term, right: Term) -> Term:
     return Term(left=left, right=right)
 
 
+def _left_assoc_term(names) -> Term:
+    """The left-nested product (..((n1 n2) n3)..) nk of the named variables."""
+    t = var(names[0])
+    for name in names[1:]:
+        t = prod(t, var(name))
+    return t
+
+
+def _right_assoc_term(names) -> Term:
+    """The right-nested product n1 (n2 (.. (n{k-1} nk)..)) of the named variables."""
+    t = var(names[-1])
+    for name in reversed(names[:-1]):
+        t = prod(var(name), t)
+    return t
+
+
 def term_to_string(t: Term) -> str:
+    """Render with parentheses around every product; ``parse_term`` inverts it."""
     if t.is_var:
         return t.name
     return f"({term_to_string(t.left)} {term_to_string(t.right)})"
@@ -159,6 +177,14 @@ def eval_term(t: Term, env: dict, product):
     return product(eval_term(t.left, env, product), eval_term(t.right, env, product))
 
 
+def axis_env(names, n: int) -> dict[str, np.ndarray]:
+    """Each named variable as ``arange(n)`` along its own axis, in ``names``
+    order, so a term evaluated over them spans the whole tuple space."""
+    k = len(names)
+    return {name: np.arange(n, dtype=np.int64).reshape((1,) * i + (n,) + (1,) * (k - 1 - i))
+            for i, name in enumerate(names)}
+
+
 def evaluate(t: Term, g: Groupoid, assignment: dict[str, int]) -> int:
     """Evaluate a term by recursive table lookup."""
     return eval_term(t, assignment, g.prod)
@@ -185,10 +211,7 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
     prefix_vars = variables[: v - suffix]
     suffix_vars = variables[v - suffix:]
     shape = (n,) * len(suffix_vars)
-    suffix_env = {
-        name: np.arange(n).reshape((1,) * i + (n,) + (1,) * (len(suffix_vars) - 1 - i))
-        for i, name in enumerate(suffix_vars)
-    }
+    suffix_env = axis_env(suffix_vars, n)
 
     table = g.table
 
@@ -288,20 +311,12 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
-def _left_power(base: Term, factor: Term, k: int) -> Term:
-    """Left-associated product base*factor*...*factor with k factors."""
-    t = base
-    for _ in range(k):
-        t = prod(t, factor)
-    return t
-
-
 def in_Cp(g: Groupoid, p: int) -> bool:
     """Membership in the p-cyclic groupoid variety:
     xx=x, x(yz)=xy, (xy)z=(xz)y, x y^p=x (p prime)."""
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    power = Identity(_left_power(var("x"), var("y"), p), var("x"))
+    power = Identity(_left_assoc_term(["x"] + ["y"] * p), var("x"))
     return (
         _holds_all(g, (_IDEMPOTENCE, _X_YZ, "((x y) z) = ((x z) y)"))
         and satisfies_identity(g, power)[0]
@@ -353,20 +368,6 @@ CHECK_SCHEMES = {"in_D": satisfies_D_scheme}
 
 # ---------------------------------------------------------------------------
 # identity schemes over x1..xn
-
-
-def _left_assoc_term(names) -> Term:
-    t = var(names[0])
-    for name in names[1:]:
-        t = prod(t, var(name))
-    return t
-
-
-def _right_assoc_term(names) -> Term:
-    t = var(names[-1])
-    for name in reversed(names[:-1]):
-        t = prod(var(name), t)
-    return t
 
 
 def scheme_identity(name: str, n: int):

@@ -3,16 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd.bracketings import (
-    bracketing_to_string,
     catalan,
     enumerate_bracketings,
     left_assoc,
     left_depth_sequence,
-    pair,
     parse_bracketing,
     right_assoc,
 )
 from grpd.errors import GuardError, ParseError
+from grpd.terms import parse_term, prod, scheme_identity, term_to_string, var
 
 
 def catalan_oracle(n):
@@ -36,11 +35,14 @@ def test_catalan_guard():
 
 def test_enumeration_counts():
     for n in range(1, 9):
-        assert len(enumerate_bracketings(n)) == catalan(n)
+        trees = enumerate_bracketings(n)
+        assert len(trees) == catalan(n)
+        # each bracketing is a term over x1..xn
+        assert {b.variables for b in trees} == {tuple(f"x{i}" for i in range(1, n + 1))}
 
 
 def test_enumeration_size4_trees():
-    got = [bracketing_to_string(b) for b in enumerate_bracketings(4)]
+    got = [term_to_string(b) for b in enumerate_bracketings(4)]
     assert set(got) == {
         "(x1 (x2 (x3 x4)))",
         "(x1 ((x2 x3) x4))",
@@ -54,7 +56,7 @@ def test_enumeration_size4_trees():
 
 
 def test_enumeration_size2():
-    assert [bracketing_to_string(b) for b in enumerate_bracketings(2)] == ["(x1 x2)"]
+    assert [term_to_string(b) for b in enumerate_bracketings(2)] == ["(x1 x2)"]
 
 
 def test_enumeration_distinct():
@@ -63,11 +65,11 @@ def test_enumeration_distinct():
 
 
 def test_left_right_assoc():
-    assert bracketing_to_string(left_assoc(3)) == "((x1 x2) x3)"
-    assert bracketing_to_string(right_assoc(3)) == "(x1 (x2 x3))"
+    assert term_to_string(left_assoc(3)) == "((x1 x2) x3)"
+    assert term_to_string(right_assoc(3)) == "(x1 (x2 x3))"
     assert right_assoc(4) == parse_bracketing("(x1 (x2 (x3 x4)))")
-    assert left_assoc(1) == right_assoc(1)
-    assert left_assoc(1).is_leaf
+    assert left_assoc(1) == right_assoc(1) == var("x1")
+    assert left_assoc(1).is_var
 
 
 def test_left_depth_left_assoc():
@@ -76,15 +78,9 @@ def test_left_depth_left_assoc():
 
 
 def test_left_depth_prefixed_left_assoc():
-    from grpd.bracketings import leaf
-
-    def shift(b):
-        if b.is_leaf:
-            return leaf(b.pos + 1)
-        return pair(shift(b.left), shift(b.right))
-
-    b = pair(leaf(1), shift(left_assoc(3)))
+    b = prod(var("x1"), parse_term("((x2 x3) x4)"))
     assert left_depth_sequence(b) == [1, 2, 1, 0]
+    assert b == scheme_identity("nulla", 4).rhs
 
 
 def test_left_depth_b3():
@@ -111,12 +107,13 @@ def test_left_depth_sequences_distinct():
 def test_string_roundtrip(n, data):
     trees = enumerate_bracketings(n)
     b = trees[data.draw(st.integers(0, len(trees) - 1))]
-    assert parse_bracketing(bracketing_to_string(b)) == b
+    assert parse_bracketing(term_to_string(b)) == b
 
 
 def test_parse_examples():
     assert parse_bracketing("((x1 x2) x3)") == left_assoc(3)
-    assert bracketing_to_string(right_assoc(3)) == "(x1 (x2 x3))"
+    assert parse_bracketing("(x1 (x2 x3))") == parse_term("(x1 (x2 x3))")
+    assert term_to_string(right_assoc(3)) == "(x1 (x2 x3))"
 
 
 def test_parse_errors():
@@ -130,6 +127,12 @@ def test_parse_errors():
         parse_bracketing("((x1 x1) x2)")
     with pytest.raises(ParseError):
         parse_bracketing("")
+    with pytest.raises(ParseError, match="positions out of order"):
+        parse_bracketing("((x1 x2) x4)")
+    with pytest.raises(ParseError, match="positions out of order"):
+        parse_bracketing("(x0 x1)")
+    with pytest.raises(ParseError, match="bad variable name"):
+        parse_bracketing("(x1 X2)")
 
 
 def test_enumeration_guard():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -120,6 +121,14 @@ def test_search_with_violations_exits_1(capsys):
     )
     assert code == 1
     assert "first witness" in out
+
+
+def test_search_identity_instance_guard_exits_2_before_scanning(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--size", "3", "--idempotent", "--satisfy", "left_eq_right:30")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "identity instances" in err
 
 
 def test_search_bad_scheme(capsys):

@@ -14,7 +14,7 @@ from grpd.bracketings import enumerate_bracketings
 from grpd import nonassoc
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table
-from grpd.core import Groupoid, generate_subuniverse
+from grpd.core import Groupoid, find_isomorphism, generate_subuniverse
 from grpd.errors import GuardError
 from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
 from grpd.search import CHECKS, search_tables
@@ -241,3 +241,62 @@ def test_clone_closure_matches_pairwise_reference(g):
     for i, j in itertools.product(range(m), repeat=2):
         composed = basic[part.ops[i].as_array(), part.ops[j].as_array()]
         assert part.ops[part.product(i, j)].as_array().tolist() == composed.tolist()
+
+
+def relabel(g, perm, dual):
+    """g with each element a renamed perm[a]; with ``dual`` its dual is renamed."""
+    out = [[0] * g.n for _ in range(g.n)]
+    for a, b in itertools.product(range(g.n), repeat=2):
+        x, y = (perm[b], perm[a]) if dual else (perm[a], perm[b])
+        out[x][y] = perm[int(g.table[a, b])]
+    return groupoid_of(g.n, out)
+
+
+def maps_onto(g, h, mapping, dual):
+    """Is ``mapping`` a bijection with mapping[ab] = h(mapping[a], mapping[b])
+    (h(mapping[b], mapping[a]) when ``dual``) for all a, b?"""
+    if sorted(mapping) != list(range(g.n)) or g.n != h.n:
+        return False
+    return all(
+        mapping[int(g.table[a, b])] == int(h.table[(mapping[b], mapping[a]) if dual else (mapping[a], mapping[b])])
+        for a, b in itertools.product(range(g.n), repeat=2)
+    )
+
+
+def brute_isomorphic(g, h, allow_dual):
+    return any(
+        maps_onto(g, h, perm, dual)
+        for perm in itertools.permutations(range(g.n))
+        for dual in ((False, True) if allow_dual else (False,))
+    )
+
+
+def assert_isomorphism_verdicts(g, h):
+    for allow_dual in (False, True):
+        iso = find_isomorphism(g, h, allow_dual=allow_dual)
+        assert (iso is not None) == brute_isomorphic(g, h, allow_dual)
+        if iso is not None:
+            assert allow_dual or not iso.dual
+            assert maps_onto(g, h, iso.mapping, iso.dual)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables, st.data())
+def test_find_isomorphism_recovers_a_relabelling(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    dual = data.draw(st.booleans())
+    h = relabel(g, perm, dual)
+    assert find_isomorphism(g, h, allow_dual=True) is not None
+    if not dual:
+        assert find_isomorphism(g, h) is not None
+    assert_isomorphism_verdicts(g, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables.filter(lambda g: g.n >= 2), st.data())
+def test_find_isomorphism_after_one_cell_change_matches_brute_force(g, data):
+    h = relabel(g, data.draw(st.permutations(range(g.n))), data.draw(st.booleans()))
+    cells = h.table.copy()
+    a, b = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+    cells[a, b] = (cells[a, b] + data.draw(st.integers(1, g.n - 1))) % g.n
+    assert_isomorphism_verdicts(g, groupoid_of(g.n, cells))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from grpd.core import Groupoid
 from grpd.errors import GuardError
+from grpd import search
 from grpd.search import CHECKS, all_tables, search_tables
 from grpd.terms import (
     CHECK_IDENTITIES,
@@ -277,6 +278,16 @@ def test_size_guards():
         search_tables(5, True, [])
     with pytest.raises(GuardError):
         search_tables(4, False, [])
+
+
+def test_identity_instance_guard(monkeypatch):
+    with pytest.raises(GuardError, match="identity instances"):
+        search_tables(2, False, [scheme_identity("left_eq_right", 17)])
+    # the cap is on size^variables summed over the identities, inclusive
+    monkeypatch.setattr(search, "MAX_INSTANCES", 27)
+    assert search_tables(3, True, [scheme_identity("left_eq_right", 3)]).total == 729
+    with pytest.raises(GuardError, match=r"27 identity instances \(54 requested\)"):
+        search_tables(3, True, [scheme_identity("left_eq_right", 3)] * 2)
 
 
 def test_unknown_check():

@@ -31,14 +31,11 @@ B5 = parse_bracketing("((x1 (x2 x3)) x4)")
 
 def brute_table(g, b):
     # independent oracle: evaluate through the term evaluator, tuple by tuple
-    n = b.size
-    term = parse_term(
-        __import__("grpd.bracketings", fromlist=["bracketing_to_string"]).bracketing_to_string(b)
-    )
+    n = len(b.variables)
     out = []
     for tup in itertools.product(range(g.n), repeat=n):
         env = {f"x{i + 1}": v for i, v in enumerate(tup)}
-        out.append(evaluate(term, g, env))
+        out.append(evaluate(b, g, env))
     return np.array(out)
 
 
@@ -68,6 +65,20 @@ def test_term_function_matches_pointwise_oracle():
         for n in (2, 3, 4):
             for b in enumerate_bracketings(n):
                 assert np.array_equal(term_function(g, b).entries, brute_table(g, b))
+
+
+def test_term_function_axes_follow_variables():
+    g = cat("G3")
+    t = parse_term("(y (x y))")
+    first_occurrence = term_function(g, t).as_array()
+    assert np.array_equal(term_function(g, t, variables=("y", "x")).as_array(), first_occurrence)
+    xy = term_function(g, t, variables=("x", "y")).as_array()
+    assert np.array_equal(xy, first_occurrence.T)
+    for x, y in itertools.product(range(g.n), repeat=2):
+        assert xy[x, y] == evaluate(t, g, {"x": x, "y": y})
+    # a variable listed but absent from the term is a constant axis
+    xyz = term_function(g, t, variables=("x", "y", "z")).as_array()
+    assert np.array_equal(xyz, np.broadcast_to(xy[:, :, None], xyz.shape))
 
 
 def test_term_function_budget():
@@ -191,11 +202,15 @@ def test_nulla_satisfied_examples():
 def test_nulla_agrees_with_generic_checker():
     from grpd.terms import satisfies_identity, scheme_identity
 
-    for k in (2, 3):
+    for k in (2, 3, 4):
         g = build_ak(k)
-        for n in (3, 4, 5):
-            ok, _ = satisfies_identity(g, scheme_identity("nulla", n))
-            assert nulla_satisfied(g, n) == ok
+        for n in (3, 4, 5, 6):
+            ident = scheme_identity("nulla", n)
+            want = term_function(g, ident.lhs) == term_function(g, ident.rhs)
+            assert satisfies_identity(g, ident)[0] == want
+            assert nulla_satisfied(g, n) == want
+            # budget=1 takes the generic-checker branch
+            assert nulla_satisfied(g, n, budget=1) == want
 
 
 def test_optable_validation():
