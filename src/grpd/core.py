@@ -52,6 +52,11 @@ class Groupoid:
     def n(self) -> int:
         return len(self.names)
 
+    @property
+    def narrow_table(self) -> np.ndarray:
+        """A copy of ``table`` in the smallest dtype that holds n-1 (uint8 up to 256 elements)."""
+        return self.table.astype(np.min_scalar_type(self.n - 1))
+
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -149,11 +154,7 @@ def parse_groupoid(text: str) -> Groupoid:
     significant line lists the n element names, the next n lines give
     the table rows (entries are element names, row = left factor).
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
     if not lines:
         raise ParseError("empty document")
     names = tuple(lines[0].split())
@@ -170,19 +171,17 @@ def parse_groupoid(text: str) -> Groupoid:
         tokens = row.split()
         if len(tokens) != n:
             raise ParseError(f"row length mismatch in row {i + 1}: expected {n} entries, got {len(tokens)}")
-        for j, tok in enumerate(tokens):
-            if tok not in index:
-                raise ParseError(f"unknown element {tok!r} in row {i + 1}")
-            table[i, j] = index[tok]
+        try:
+            table[i] = [index[tok] for tok in tokens]
+        except KeyError as exc:
+            raise ParseError(f"unknown element {exc.args[0]!r} in row {i + 1}") from None
     return Groupoid(names, table)
 
 
 def write_groupoid(g: Groupoid) -> str:
     """Render a groupoid in the .gpd format (bit-exact writer)."""
-    lines = [" ".join(g.names)]
-    for i in range(g.n):
-        lines.append(" ".join(g.names[g.table[i, j]] for j in range(g.n)))
-    return "\n".join(lines) + "\n"
+    rows = [" ".join(g.names[v] for v in row) for row in g.table.tolist()]
+    return "\n".join([" ".join(g.names)] + rows) + "\n"
 
 
 # ---------------------------------------------------------------------------

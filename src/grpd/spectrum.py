@@ -5,9 +5,9 @@ bracketings of x1*...*xn.  ``term_function`` tabulates any term over
 the whole tuple space with numpy broadcasting, one axis per variable;
 the spectrum evaluates the bracketings of one size the same way,
 sharing their proper subterms.  Equal-function classes are keyed by
-the exact bytes of each evaluation table, serialised in the smallest
-unsigned dtype that holds n-1, so two distinct functions never share a
-key on any carrier.
+the exact bytes of each evaluation table, whose root is gathered in the
+smallest unsigned dtype that holds n-1, so two distinct functions never
+share a key on any carrier.
 """
 
 from __future__ import annotations
@@ -82,24 +82,25 @@ class SpectrumReport:
         return len(self.values)
 
 
-def _evaluate_tree(g: Groupoid, t: Term, env: dict, cache: dict, store: bool = False):
+def _evaluate_tree(g: Groupoid, t: Term, env: dict, cache: dict, root: np.ndarray | None = None):
     """Broadcast-evaluate a term over the axis arrays of ``env``.
 
     The result only spans the axes of the variables that occur in the
-    subterm; callers broadcast to the full shape.  ``cache`` memoizes
-    proper subterms (across the bracketings of one size in
-    ``spectrum``).  The root's table is not stored: a bracketing of one
-    size is never a proper subterm of another of that size, so it would
-    never be looked up.
+    subterm; callers broadcast to the full shape.  The root is gathered
+    from ``root``.  Proper subterms are gathered from the int64
+    ``g.table``, since they index the next gather, and memoized in
+    ``cache`` (across the bracketings of one size in ``spectrum``).  The
+    root's table is not stored: a bracketing of one size is never a
+    proper subterm of another of that size, so it would never be looked up.
     """
     if t.is_var:
         return env[t.name]
     out = cache.get(t)
     if out is None:
-        left = _evaluate_tree(g, t.left, env, cache, True)
-        right = _evaluate_tree(g, t.right, env, cache, True)
-        out = g.table[left, right]
-        if store:
+        left = _evaluate_tree(g, t.left, env, cache)
+        right = _evaluate_tree(g, t.right, env, cache)
+        out = (g.table if root is None else root)[left, right]
+        if root is None:
             cache[t] = out
     return out
 
@@ -114,7 +115,7 @@ def term_function(g: Groupoid, t: Term, budget: int = DEFAULT_BUDGET, variables=
     k = len(names)
     if g.n ** k > budget:
         raise GuardError(f"evaluation budget exceeded ({g.n}^{k} > {budget})")
-    arr = _evaluate_tree(g, t, axis_env(names, g.n), {})
+    arr = _evaluate_tree(g, t, axis_env(names, g.n), {}, g.table)
     full = np.broadcast_to(arr, (g.n,) * k)
     return OpTable(k, g.n, full.reshape(-1).copy())
 
@@ -122,18 +123,18 @@ def term_function(g: Groupoid, t: Term, budget: int = DEFAULT_BUDGET, variables=
 def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumReport:
     """Compute s(1)..s(max_n) by brute-force function deduplication.
 
-    Each bracketing's full evaluation table is serialised in
-    ``np.min_scalar_type(g.n - 1)`` (uint8 up to 256 elements, uint16
-    beyond) and its exact bytes key a dict of classes, kept in order of
-    first occurrence, so two bracketings share a class iff they induce
-    the same function.  If the per-size cost exceeds the budget the
-    report stops at the largest completed size.
+    Each bracketing's root is gathered from ``g.narrow_table`` (uint8
+    up to 256 elements, uint16 beyond) and the exact bytes of its full
+    evaluation table key a dict of classes, kept in order of first
+    occurrence, so two bracketings share a class iff they induce the
+    same function.  If the per-size cost exceeds the budget the report
+    stops at the largest completed size.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if max_n > SPECTRUM_MAX_N:
         raise GuardError(f"spectrum capped at max_n={SPECTRUM_MAX_N}")
-    dtype = np.min_scalar_type(g.n - 1)
+    narrow = g.narrow_table
     values = []
     classes = []
     for n in range(1, max_n + 1):
@@ -143,8 +144,7 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
         cache: dict = {}
         members: dict[bytes, list[int]] = {}  # table bytes -> bracketing indices
         for idx, b in enumerate(enumerate_bracketings(n)):
-            arr = np.broadcast_to(_evaluate_tree(g, b, env, cache), (g.n,) * n)
-            data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+            data = _evaluate_tree(g, b, env, cache, narrow).tobytes()  # spans all n axes
             members.setdefault(data, []).append(idx)
         values.append(len(members))
         classes.append(tuple(tuple(m) for m in members.values()))

@@ -63,14 +63,28 @@ def test_parse_comments_and_blanks():
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_groupoid("a a\na a\na a\n")
-    with pytest.raises(ParseError, match="unknown element"):
-        parse_groupoid("a b\na z\nb b\n")
-    with pytest.raises(ParseError, match="empty"):
-        parse_groupoid("# nothing here\n")
-    with pytest.raises(ParseError, match="rows"):
-        parse_groupoid("a b\na a\n")
+    def message(text):
+        with pytest.raises(ParseError) as info:
+            parse_groupoid(text)
+        return str(info.value)
+
+    assert message("a a\na a\na a\n") == "duplicate element name 'a'"
+    assert message("# nothing here\n") == "empty document"
+    # the first bad token of the first bad row
+    assert message("a b\na a\nq z\n") == "unknown element 'q' in row 2"
+    assert message("a b\na r\nq b\n") == "unknown element 'r' in row 1"
+    # a row of the wrong length is reported before its unknown tokens
+    assert message("a b\na q c\nb b\n") == "row length mismatch in row 1: expected 2 entries, got 3"
+    assert message("a b\na q\nb\n") == "unknown element 'q' in row 1"
+    assert message("a b\na a\n") == "expected 2 table rows, got 1"
+    assert message("a b c\na a a\nb b b\nc c c\na a a\n") == "expected 3 table rows, got 4"
+
+
+def test_gpd_roundtrip_300_elements():
+    n = 300
+    rng = np.random.default_rng(5)
+    g = Groupoid(tuple(f"e{i}" for i in range(n)), rng.integers(0, n, (n, n)))
+    assert parse_groupoid(write_groupoid(g)) == g
 
 
 def test_writer_format_exact():

@@ -1,6 +1,7 @@
 """Property tests: each shared kernel against a brute force it must agree with.
 
-Tables are random, of size 1 to 5, idempotent or not.
+Tables are random, of size 1 to 5, idempotent or not, except at the
+narrow-dtype switch, where they have 255 to 300 elements.
 """
 
 import itertools
@@ -73,9 +74,12 @@ def test_associativity_kernel_matches_triple_loop(g):
 
 
 def full_cube_census(g):
-    """(count, triples, sh_type, minimal_sh, semigroup) from the whole (n, n, n) cube."""
+    """(count, triples, sh_type, minimal_sh, semigroup) from the whole (n, n, n) cube.
+
+    Gathered in int64, one (n, n) layer per a, so a 300-element cube fits in memory.
+    """
     t = g.table
-    mask = t[t] != t[:, t]
+    mask = np.stack([t[t[a]] != t[a][t] for a in range(g.n)])
     triples = tuple(map(tuple, np.argwhere(mask)[:TRIPLE_LIST_CAP].tolist()))
     count = int(mask.sum())
     sh_type = minimal = None
@@ -120,6 +124,38 @@ def test_sliced_census_lists_capped_triples_across_slabs():
     assert full[1][-1][0] >= 10  # the listed triples span more than five 2-row slabs
     assert sliced_census(g, 2) == full
     assert sliced_census(g, 1) == full
+
+
+@st.composite
+def tables_at_dtype_switch(draw):
+    """A relabelled cyclic group of 255 to 300 elements with a few cells
+    rewritten, or the one-defect table that is 0 except t[1,1] = 2 and
+    t[2,1] = v.  Rewritten values lean to the top of the carrier, past 255."""
+    n = draw(st.sampled_from([255, 256, 257, 300]))
+    values = st.one_of(st.integers(n - 3, n - 1), st.integers(0, n - 1))
+    if draw(st.booleans()):
+        t = np.zeros((n, n), dtype=np.int64)
+        t[1, 1] = 2
+        t[2, 1] = draw(values)
+        return groupoid_of(n, t)
+    perm = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(n)
+    t = np.empty((n, n), dtype=np.int64)
+    t[np.ix_(perm, perm)] = perm[np.add.outer(np.arange(n), np.arange(n)) % n]
+    for _ in range(draw(st.integers(0, 3))):
+        t[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(values)
+    return groupoid_of(n, t)
+
+
+@settings(max_examples=12, deadline=None)
+@given(tables_at_dtype_switch())
+def test_narrow_kernels_match_int64_cube_at_dtype_switch(g):
+    want = full_cube_census(g)
+    rep = ns_index(g)
+    assert (rep.ns_count, rep.triples, rep.sh_type, rep.minimal_sh, is_semigroup(g)) == want
+    # the two bracketings of size 3 induce the same function iff g is associative
+    spec = spectrum(g, 3)
+    assert spec.values == (1, 1, 1 if want[4] else 2)
+    assert spec.classes[2] == (((0, 1),) if want[4] else ((0,), (1,)))
 
 
 @settings(max_examples=100, deadline=None)
