@@ -234,7 +234,7 @@ def cmd_search(args) -> int:
     identities = []
     for spec in args.satisfy or ():
         identities.extend(_parse_scheme(spec))
-    summary = search_tables(args.size, args.idempotent, identities, args.check, threads=args.threads)
+    summary = search_tables(args.size, args.idempotent, identities, args.check)
     payload = {
         "size": summary.size,
         "idempotentOnly": summary.idempotent_only,
@@ -312,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variety", parents=[common], help="variety membership check")
     p.add_argument("file")
-    p.add_argument("variety", help="semigroup, left-zero, right-zero, rect-band, "
-                                   "left-regular-band, right-regular-band, B, Bd, A, D, DcapA, Cp:<prime>")
+    p.add_argument("variety", help=", ".join([*_VARIETIES, "Cp:<prime>"]))
     p.set_defaults(func=cmd_variety)
 
     p = sub.add_parser("check", parents=[common], help="check one identity exhaustively")
@@ -332,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--satisfy", action="append", metavar="SCHEME:N",
                    help="filter identity, e.g. left_eq_right:4 (repeatable)")
     p.add_argument("--check", default="is_semigroup", choices=sorted(CHECKS))
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes; each takes a share of the first cell's values")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-paper", parents=[common],

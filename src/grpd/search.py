@@ -11,9 +11,9 @@ read are assigned.  A check is the same filter run on the full tables
 that survive, with the check's identities from
 ``terms.CHECK_IDENTITIES`` (plus ``in_D``'s absorption scheme on the
 few tables that pass them): the violators are exactly the survivors it
-drops.  Results are independent of chunking and worker count: counts
-are summed and the first witness is the one with the smallest table
-index.
+drops.  Batches of at most ``CHUNK`` rows come out in enumeration
+order, so results do not depend on ``CHUNK``: counts are summed and the
+first witness is the one with the smallest table index.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .terms import CHECK_IDENTITIES, CHECK_SCHEMES, Identity, eval_term, parse_i
 
 MAX_SIZE_IDEMPOTENT = 4
 MAX_SIZE_GENERAL = 3
-DEFAULT_CHUNK = 1 << 20
+CHUNK = 1 << 20  # rows in one batch of partial tables
 MAX_INSTANCES = 1 << 16  # identity instances, summed over the --satisfy identities
 
 CHECKS = {name: getattr(terms, name) for name in CHECK_IDENTITIES}
@@ -116,19 +116,19 @@ def _prune(tables: np.ndarray, instances, size: int) -> np.ndarray:
     return tables
 
 
-def _expand(frontier, identities, depth, size, cells, chunk, values):
+def _expand(frontier, identities, depth, size, cells):
     """Prune ``frontier`` and yield in index order the full tables below it, giving
-    ``cells[depth]`` each of ``values`` in slices of at most ``chunk`` rows."""
+    ``cells[depth]`` each value in slices of at most ``CHUNK`` rows."""
     frontier = _prune(frontier, _instances(identities, size, cells, depth), size)
     if depth == len(cells):
         yield frontier
         return
     i, j = cells[depth]
-    step = max(1, chunk // len(values))
+    step = max(1, CHUNK // size)
     for lo in range(0, len(frontier), step):
-        rows = np.repeat(frontier[lo:lo + step], len(values), axis=0)
-        rows[:, i, j] = np.tile(values, len(rows) // len(values))
-        yield from _expand(rows, identities, depth + 1, size, cells, chunk, range(size))
+        rows = np.repeat(frontier[lo:lo + step], size, axis=0)
+        rows[:, i, j] = np.tile(np.arange(size), len(rows) // size)
+        yield from _expand(rows, identities, depth + 1, size, cells)
 
 
 def _table_index(tables: np.ndarray, size: int, cells: list[tuple[int, int]]) -> np.ndarray:
@@ -147,30 +147,8 @@ def all_tables(size: int, idempotent_only: bool) -> np.ndarray:
     """Every table of the given size as a (count, size, size) array, in
     enumeration order (all idempotent tables when ``idempotent_only``)."""
     cells = _free_cells(size, idempotent_only)
-    tables = _expand(_root(size, cells), (), 0, size, cells, DEFAULT_CHUNK, range(size))
+    tables = _expand(_root(size, cells), (), 0, size, cells)
     return np.concatenate(list(tables))[:, :size, :size]
-
-
-def _scan_range(values, size, cells, identities, check, chunk):
-    """Scan the tables whose first free cell takes one of ``values``."""
-    satisfying = 0
-    violations = 0
-    first_idx = None
-    first_table = None
-    members = [parse_identity(t) for t in CHECK_IDENTITIES[check]]
-    scheme = CHECK_SCHEMES.get(check)
-    for tables in _expand(_root(size, cells), identities, 0, size, cells, chunk, values):
-        satisfying += len(tables)
-        indices = _table_index(tables, size, cells)
-        kept = _prune(tables, _instances(members, size, cells, len(cells)), size)
-        if scheme is not None:
-            kept = kept[np.array([scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
-        bad = np.setdiff1d(indices, _table_index(kept, size, cells), assume_unique=True)
-        violations += int(bad.size)
-        if first_idx is None and bad.size:
-            first_idx = int(bad[0])
-            first_table = tables[np.searchsorted(indices, first_idx), :size, :size].copy()
-    return satisfying, violations, first_idx, first_table
 
 
 def search_tables(
@@ -178,8 +156,6 @@ def search_tables(
     idempotent_only: bool,
     satisfy: list[Identity] | tuple[Identity, ...] = (),
     check: str = "is_semigroup",
-    threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> SearchSummary:
     """Count tables that satisfy the given identities but fail the check.
 
@@ -188,11 +164,11 @@ def search_tables(
     instance rules out, and runs the full tables that survive through
     the same filter with the identities of the named check (then its
     scheme, if any): the tables it drops are the violators.  Reports
-    their count and the first one in enumeration order.  ``chunk`` bounds the rows of a partial-table batch (a larger
-    one is expanded depth-first in slices); ``threads > 1`` gives each
-    worker process a contiguous share of the first free cell's values.
-    More than ``MAX_INSTANCES`` identity instances (size^variables,
-    summed over ``satisfy``) raise GuardError before any work.
+    their count and the first one in enumeration order.  A batch of
+    partial tables holds at most ``CHUNK`` rows; a larger one is expanded
+    depth-first in slices.  More than ``MAX_INSTANCES`` identity
+    instances (size^variables, summed over ``satisfy``) raise GuardError
+    before any work.
     """
     limit = MAX_SIZE_IDEMPOTENT if idempotent_only else MAX_SIZE_GENERAL
     if size < 1 or size > limit:
@@ -207,27 +183,22 @@ def search_tables(
         raise GuardError(f"search capped at {MAX_INSTANCES} identity instances ({instances} requested)")
     cells = _free_cells(size, idempotent_only)
     total = size ** len(cells)
+    members = [parse_identity(t) for t in CHECK_IDENTITIES[check]]
+    scheme = CHECK_SCHEMES.get(check)
 
-    if threads > 1 and total > chunk:
-        from concurrent.futures import ProcessPoolExecutor
-
-        groups = np.array_split(np.arange(size), min(threads, size))
-        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
-            futures = [
-                pool.submit(_scan_range, group, size, cells, identities, check, chunk)
-                for group in groups
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_scan_range(range(size), size, cells, identities, check, chunk)]
-
-    satisfying = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
+    satisfying = 0
+    violations = 0
     first_idx = None
-    first_table = None
-    for sat, vio, idx, table in results:
-        if idx is not None and (first_idx is None or idx < first_idx):
-            first_idx = idx
-            first_table = table
-    witness = None if first_table is None else _groupoid(first_table)
+    witness = None
+    for tables in _expand(_root(size, cells), identities, 0, size, cells):
+        satisfying += len(tables)
+        indices = _table_index(tables, size, cells)
+        kept = _prune(tables, _instances(members, size, cells, len(cells)), size)
+        if scheme is not None:
+            kept = kept[np.array([scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
+        bad = np.setdiff1d(indices, _table_index(kept, size, cells), assume_unique=True)
+        violations += int(bad.size)
+        if first_idx is None and bad.size:
+            first_idx = int(bad[0])
+            witness = _groupoid(tables[np.searchsorted(indices, first_idx), :size, :size])
     return SearchSummary(size, idempotent_only, total, satisfying, violations, first_idx, witness)

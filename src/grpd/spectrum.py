@@ -176,15 +176,10 @@ def spectrum_ak_oracle(k: int, max_n: int) -> list[int]:
     return [len(sets[n]) for n in range(1, max_n + 1)]
 
 
-def nulla_satisfied(g: Groupoid, n: int, budget: int = DEFAULT_BUDGET) -> bool:
+def nulla_satisfied(g: Groupoid, n: int) -> bool:
     """Does g satisfy left-assoc(x1..xn) = x1*(left-assoc(x2..xn))?
 
-    Both sides are bracketings of x1..xn, so the check compares the two
-    term tables directly when that fits the budget, falling back to the
-    generic identity checker otherwise.
+    Uses the generic identity checker, whose loop over leading variables
+    keeps memory bounded however large g.n ** n is.
     """
-    ident = scheme_identity("nulla", n)
-    if g.n ** n <= budget:
-        return term_function(g, ident.lhs, budget) == term_function(g, ident.rhs, budget)
-    ok, _ = satisfies_identity(g, ident)
-    return ok
+    return satisfies_identity(g, scheme_identity("nulla", n))[0]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd.bracketings import enumerate_bracketings
-from grpd import nonassoc
+from grpd import nonassoc, search
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table
 from grpd.core import Groupoid, find_isomorphism, generate_subuniverse
@@ -217,7 +217,9 @@ def brute_search(size, idempotent_only, ident, check):
 @given(ident=identities, check=st.sampled_from(sorted(CHECKS)), chunk=st.sampled_from([7, 100, 1 << 20]))
 def test_search_matches_per_table_checks(size, idempotent_only, ident, check, chunk):
     for name in sorted({"is_semigroup", check}):
-        summary = search_tables(size, idempotent_only, [ident], name, chunk=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "CHUNK", chunk)
+            summary = search_tables(size, idempotent_only, [ident], name)
         satisfying, violations, first = brute_search(size, idempotent_only, ident, name)
         assert (summary.satisfying, summary.violations) == (satisfying, violations)
         if first is None:

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 
@@ -78,6 +79,16 @@ def scan(summary):
     return (summary.satisfying, summary.violations, summary.first_witness_index, summary.first_witness)
 
 
+@contextlib.contextmanager
+def chunk_rows(rows):
+    """Scan with batches of at most ``rows`` partial tables.  A context, not the
+    ``monkeypatch`` fixture, because a function-scoped fixture is shared by every
+    example of a ``@given`` test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "CHUNK", rows)
+        yield
+
+
 def terms_over(names):
     return st.recursive(
         st.sampled_from(names).map(var),
@@ -92,9 +103,10 @@ identities = st.tuples(terms_over("xyz"), terms_over("xyz")).map(lambda sides: I
 @pytest.mark.parametrize("idempotent_only", [False, True])
 @settings(max_examples=12, deadline=None)
 @given(ident=identities, check=st.sampled_from(["is_semigroup", "is_left_zero"]),
-       chunk=st.sampled_from([1, 7, 1 << 20]), threads=st.sampled_from([1, 2]))
-def test_pruned_search_matches_brute_force(idempotent_only, ident, check, chunk, threads):
-    summary = search_tables(3, idempotent_only, [ident], check, threads=threads, chunk=chunk)
+       chunk=st.sampled_from([1, 7, 1 << 20]))
+def test_pruned_search_matches_brute_force(idempotent_only, ident, check, chunk):
+    with chunk_rows(chunk):
+        summary = search_tables(3, idempotent_only, [ident], check)
     assert summary.total == 3 ** (6 if idempotent_only else 9)
     assert scan(summary) == brute_scan(3, idempotent_only, [ident], check)
 
@@ -104,14 +116,16 @@ def test_pruned_search_matches_brute_force(idempotent_only, ident, check, chunk,
 def test_pruned_search_edge_cases(idempotent_only, text):
     ident = parse_identity(text)
     for size in (1, 2, 3):
-        for threads, chunk in ((1, 1 << 20), (2, 1)):
-            summary = search_tables(size, idempotent_only, [ident], threads=threads, chunk=chunk)
+        for chunk in (1 << 20, 1):
+            with chunk_rows(chunk):
+                summary = search_tables(size, idempotent_only, [ident])
             assert scan(summary) == brute_scan(size, idempotent_only, [ident])
 
 
 def test_identity_no_table_satisfies():
     for ident in (parse_identity("(x y) = z"), parse_identity("x = y")):
-        assert scan(search_tables(3, False, [ident], chunk=5)) == (0, 0, None, None)
+        with chunk_rows(5):
+            assert scan(search_tables(3, False, [ident])) == (0, 0, None, None)
         assert scan(search_tables(1, True, [ident])) == (1, 0, None, None)
 
 
@@ -124,7 +138,8 @@ def test_all_tables_in_index_order():
 def test_size4_pinned_scans():
     summary = search_tables(4, True, [scheme_identity("left_eq_right", 4)])
     assert (summary.total, *scan(summary)) == (4 ** 12, 604, 0, None, None)
-    summary = search_tables(4, True, [scheme_identity("nulla", 4)], chunk=1000)
+    with chunk_rows(1000):
+        summary = search_tables(4, True, [scheme_identity("nulla", 4)])
     assert scan(summary)[:3] == (700, 96, 41286)
     assert summary.first_witness.table.tolist() == [[0, 0, 0, 0], [0, 1, 2, 2], [0, 1, 2, 1], [0, 1, 2, 3]]
 
@@ -142,7 +157,8 @@ def test_every_check_matches_its_predicate_on_all_size3_tables(check, idempotent
     bad = [k for k, g in enumerate(groupoids) if not CHECKS[check](g)]
     expected = (len(groupoids), len(bad), bad[0] if bad else None, groupoids[bad[0]] if bad else None)
     assert scan(search_tables(3, idempotent_only, [], check)) == expected
-    assert scan(search_tables(3, idempotent_only, [], check, threads=2, chunk=500)) == expected
+    with chunk_rows(500):
+        assert scan(search_tables(3, idempotent_only, [], check)) == expected
 
 
 # (violations, first witness index) of the unfiltered size-3 sweep over all 19,683 tables
@@ -176,11 +192,12 @@ def test_in_D_absorption_scheme_rejects_tables_passing_its_identities():
     d_identities = [parse_identity(t) for t in CHECK_IDENTITIES["in_D"]]
     summary = search_tables(2, False, d_identities, "in_D")
     assert scan(summary) == (5, 4, 0, zero)
-    for threads, chunk in ((1, 1 << 20), (2, 7)):
-        summary = search_tables(3, False, d_identities, "in_D", threads=threads, chunk=chunk)
-        assert (summary.satisfying, summary.violations) == (78, 71)
-        summary = search_tables(3, True, d_identities, "in_D", threads=threads, chunk=chunk)
-        assert (summary.satisfying, summary.violations) == (45, 38)
+    for chunk in (1 << 20, 7):
+        with chunk_rows(chunk):
+            summary = search_tables(3, False, d_identities, "in_D")
+            assert (summary.satisfying, summary.violations) == (78, 71)
+            summary = search_tables(3, True, d_identities, "in_D")
+            assert (summary.satisfying, summary.violations) == (45, 38)
 
 
 def all_idempotent_3():
@@ -253,19 +270,12 @@ def test_general_size2():
     assert nonassoc == count
 
 
-def test_threads_deterministic():
-    idents = [scheme_identity("nulla", 4)]
-    serial = search_tables(3, True, idents, threads=1, chunk=64)
-    parallel = search_tables(3, True, idents, threads=2, chunk=64)
-    assert serial.satisfying == parallel.satisfying
-    assert serial.violations == parallel.violations
-    assert serial.first_witness_index == parallel.first_witness_index
-
-
 def test_chunking_invariance():
     idents = [scheme_identity("left_eq_right", 3)]
-    a = search_tables(3, True, idents, chunk=17)
-    b = search_tables(3, True, idents, chunk=100000)
+    with chunk_rows(17):
+        a = search_tables(3, True, idents)
+    with chunk_rows(100000):
+        b = search_tables(3, True, idents)
     assert (a.satisfying, a.violations, a.first_witness_index) == (
         b.satisfying,
         b.violations,
