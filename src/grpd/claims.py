@@ -41,28 +41,28 @@ from .nonassoc import check_sh_factor_property, ns_index
 from .search import all_tables, search_tables
 from .spectrum import nulla_satisfied, spectrum, spectrum_ak_oracle
 from .terms import (
-    CHECK_IDENTITIES,
     evaluate,
     in_A,
     in_B,
-    in_Cp,
     in_D,
-    in_D_cap_A,
     is_left_zero,
     is_rect_band,
     is_right_zero,
     is_semigroup,
     parse_identity,
     parse_term,
+    predicate,
+    predicates,
     satisfies_D_scheme,
     satisfies_identity,
     scheme_identity,
     term_to_string,
+    variety,
 )
 
 SPECTRUM_CLAIM_BUDGET = 2 * 10 ** 8  # criterion-sized; the CLI default stays 1e8
 
-B1_EQ_B2 = CHECK_IDENTITIES["in_A"][0]
+B1_EQ_B2 = variety("name", "A").identities[0]
 
 
 @dataclass(frozen=True)
@@ -107,15 +107,9 @@ def _claim_catalog_roundtrip(get):
 
 
 _TAG_CHECKS = {
+    **predicates("tag"),
     "idempotent": is_idempotent,
-    "semigroup": is_semigroup,
     "notSemigroup": lambda g: not is_semigroup(g),
-    "inB": in_B,
-    "inBd": lambda g: in_B(dual(g)),
-    "inA": in_A,
-    "inD": in_D,
-    "inDcapA": in_D_cap_A,
-    "rectBand": is_rect_band,
     "minimalSh": lambda g: ns_index(g).minimal_sh is True,
     "shAbc": lambda g: ns_index(g).sh_type == "abc",
     "shAba": lambda g: ns_index(g).sh_type == "aba",
@@ -126,9 +120,7 @@ _TAG_CHECKS = {
 
 
 def _check_tag(g: Groupoid, tag: str) -> bool:
-    if tag.startswith("inCp:"):
-        return in_Cp(g, int(tag.split(":", 1)[1]))
-    return _TAG_CHECKS[tag](g)
+    return predicate(_TAG_CHECKS, tag, "tag")(g)
 
 
 def _claim_catalog_tags(get):
@@ -167,7 +159,7 @@ def _claim_size4_bracketings(get):
     return True, "the five size-4 bracketings enumerate exactly"
 
 
-def _spectrum_2pow(get, name):
+def _spectrum_2pow(name):
     def fn(get):
         g = get(name)
         if is_semigroup(g):
@@ -227,8 +219,7 @@ def _sh_suite(name):
             return False, f"{name} defect triple does not generate the carrier"
         if not check_sh_factor_property(g):
             return False, f"{name} violates the factor property at its defect"
-        member = in_B(g) if not name.endswith("d") else in_B(dual(g))
-        if not member:
+        if not _TAG_CHECKS["inBd" if name.endswith("d") else "inB"](g):
             return False, f"{name} fails its variety membership"
         if not binary_minimality_proxy(g).passes:
             return False, f"{name} binary minimality proxy failed"
@@ -487,7 +478,7 @@ def _build_claims() -> list[_Claim]:
     ]
     for name in ("propD-F2", "f2cp-2", "f2cp-3", "chain-3", "A2"):
         claims.append(
-            _Claim(f"spectrum-2pow-{name}", f"{name} has spectrum 2^(n-2) for n=2..7", _spectrum_2pow(None, name))
+            _Claim(f"spectrum-2pow-{name}", f"{name} has spectrum 2^(n-2) for n=2..7", _spectrum_2pow(name))
         )
     for k in (2, 3, 4):
         claims.append(_Claim(f"ak-oracle-k{k}", f"A{k} brute-force spectrum matches the left-depth oracle", _ak_oracle(k)))

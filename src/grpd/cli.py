@@ -22,28 +22,12 @@ from .clone import (
     f2_table,
     find_relational_witness,
 )
-from .core import dual, parse_groupoid, write_groupoid
+from .core import parse_groupoid, write_groupoid
 from .errors import GuardError, ParseError
 from .nonassoc import ns_index
 from .search import CHECKS, search_tables
 from .spectrum import DEFAULT_BUDGET, spectrum
-from .terms import (
-    in_A,
-    in_B,
-    in_Cp,
-    in_D,
-    in_D_cap_A,
-    is_left_regular_band,
-    is_left_zero,
-    is_rect_band,
-    is_right_regular_band,
-    is_right_zero,
-    is_semigroup,
-    parse_identity,
-    parse_term,
-    satisfies_identity,
-    scheme_identity,
-)
+from .terms import CP, parse_identity, parse_term, predicate, predicates, satisfies_identity, scheme_identity
 
 SCHEMA_VERSION = 1
 
@@ -152,31 +136,19 @@ def cmd_clone(args) -> int:
     return exit_code
 
 
-_VARIETIES = {
-    "semigroup": is_semigroup,
-    "left-zero": is_left_zero,
-    "right-zero": is_right_zero,
-    "rect-band": is_rect_band,
-    "left-regular-band": is_left_regular_band,
-    "right-regular-band": is_right_regular_band,
-    "B": in_B,
-    "Bd": lambda g: in_B(dual(g)),
-    "A": in_A,
-    "D": in_D,
-    "DcapA": in_D_cap_A,
-}
+_VARIETIES = predicates("name")
+_CP_FORM = f"{CP.name}:<prime>"
 
 
 def cmd_variety(args) -> int:
     g = _load(args.file)
     name = args.variety
-    if name.startswith("Cp:"):
-        member = in_Cp(g, int(name.split(":", 1)[1]))
-    elif name in _VARIETIES:
-        member = _VARIETIES[name](g)
-    else:
-        options = sorted(_VARIETIES) + ["Cp:<prime>"]
-        raise ValueError(f"unknown variety {name!r}; choose from {', '.join(options)}")
+    try:
+        holds = predicate(_VARIETIES, name, "name")
+    except KeyError:
+        options = sorted(_VARIETIES) + [_CP_FORM]
+        raise ValueError(f"unknown variety {name!r}; choose from {', '.join(options)}") from None
+    member = holds(g)
     _emit(args, {"variety": name, "member": member},
           [f"{'member of' if member else 'NOT a member of'} {name}"])
     return 0 if member else 1
@@ -312,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variety", parents=[common], help="variety membership check")
     p.add_argument("file")
-    p.add_argument("variety", help=", ".join([*_VARIETIES, "Cp:<prime>"]))
+    p.add_argument("variety", help=", ".join([*_VARIETIES, _CP_FORM]))
     p.set_defaults(func=cmd_variety)
 
     p = sub.add_parser("check", parents=[common], help="check one identity exhaustively")

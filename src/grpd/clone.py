@@ -58,7 +58,7 @@ def _projections(n: int) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _close_under(combiner: np.ndarray, n: int, guard: int = CLONE_GUARD):
+def _close_under(combiner: np.ndarray, n: int):
     """Close {e1, e2} under (u, v) -> combiner[u, v], breadth first.
 
     Returns (tables, names, key_index).  Ops take their turns in
@@ -66,7 +66,8 @@ def _close_under(combiner: np.ndarray, n: int, guard: int = CLONE_GUARD):
     every op found so far.  ``snapshots[v]`` is the op count at v's
     turn, so for v < u the pair was already composed iff u <
     snapshots[v].  Every ordered pair is thus composed exactly once,
-    and the discovery order (and so the names) is stable.
+    and the discovery order (and so the names) is stable.  More than
+    ``CLONE_GUARD`` ops raise GuardError.
     """
     e1, e2 = _projections(n)
     tables = [e1, e2]
@@ -85,8 +86,8 @@ def _close_under(combiner: np.ndarray, n: int, guard: int = CLONE_GUARD):
                 key = composed.tobytes()
                 if key not in key_index:
                     idx = len(tables)
-                    if idx >= guard:
-                        raise GuardError(f"binary clone closure exceeded {guard} operations")
+                    if idx >= CLONE_GUARD:
+                        raise GuardError(f"binary clone closure exceeded {CLONE_GUARD} operations")
                     tables.append(composed)
                     names.append(f"({names[i]} {names[j]})")
                     key_index[key] = idx
@@ -94,9 +95,9 @@ def _close_under(combiner: np.ndarray, n: int, guard: int = CLONE_GUARD):
     return tables, names, key_index
 
 
-def binary_clone_part(g: Groupoid, guard: int = CLONE_GUARD) -> BinaryClonePart:
+def binary_clone_part(g: Groupoid) -> BinaryClonePart:
     """Compute the binary part of Clo(g) with term names for each op."""
-    tables, names, key_index = _close_under(g.table, g.n, guard)
+    tables, names, key_index = _close_under(g.table, g.n)
     ops = tuple(OpTable(2, g.n, t.reshape(-1)) for t in tables)
     basic = key_index[np.ascontiguousarray(g.table).tobytes()]
     return BinaryClonePart(ops, tuple(names), basic, key_index)

@@ -8,12 +8,12 @@ every table in which a fully defined identity instance fails is
 dropped at once, with the subtree below it.  An instance is evaluated
 only from the depth at which the cells its products of two variables
 read are assigned.  A check is the same filter run on the full tables
-that survive, with the check's identities from
-``terms.CHECK_IDENTITIES`` (plus ``in_D``'s absorption scheme on the
-few tables that pass them): the violators are exactly the survivors it
-drops.  Batches of at most ``CHUNK`` rows come out in enumeration
-order, so results do not depend on ``CHUNK``: counts are summed and the
-first witness is the one with the smallest table index.
+that survive, with the identities of the check's row in
+``terms.VARIETIES`` (then the row's scheme, ``in_D``'s absorption
+scheme, on the few tables that pass them): the violators are exactly
+the survivors it drops.  Batches of at most ``CHUNK`` rows come out in
+enumeration order, so results do not depend on ``CHUNK``: counts are
+summed and the first witness is the one with the smallest table index.
 """
 
 from __future__ import annotations
@@ -23,17 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import terms
 from .core import Groupoid
 from .errors import GuardError
-from .terms import CHECK_IDENTITIES, CHECK_SCHEMES, Identity, eval_term, parse_identity
+from .terms import Identity, eval_term, parse_identity, predicates, variety
 
 MAX_SIZE_IDEMPOTENT = 4
 MAX_SIZE_GENERAL = 3
 CHUNK = 1 << 20  # rows in one batch of partial tables
 MAX_INSTANCES = 1 << 16  # identity instances, summed over the --satisfy identities
 
-CHECKS = {name: getattr(terms, name) for name in CHECK_IDENTITIES}
+CHECKS = predicates("check")
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,8 @@ def search_tables(
         raise GuardError(f"search capped at {MAX_INSTANCES} identity instances ({instances} requested)")
     cells = _free_cells(size, idempotent_only)
     total = size ** len(cells)
-    members = [parse_identity(t) for t in CHECK_IDENTITIES[check]]
-    scheme = CHECK_SCHEMES.get(check)
+    row = variety("check", check)
+    members = [parse_identity(t) for t in row.identities]
 
     satisfying = 0
     violations = 0
@@ -194,8 +193,8 @@ def search_tables(
         satisfying += len(tables)
         indices = _table_index(tables, size, cells)
         kept = _prune(tables, _instances(members, size, cells, len(cells)), size)
-        if scheme is not None:
-            kept = kept[np.array([scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
+        if row.scheme is not None:
+            kept = kept[np.array([row.scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
         bad = np.setdiff1d(indices, _table_index(kept, size, cells), assume_unique=True)
         violations += int(bad.size)
         if first_idx is None and bad.size:

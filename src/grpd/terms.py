@@ -1,9 +1,11 @@
-"""Groupoid terms, identities, and variety membership predicates.
+"""Groupoid terms, identities, and the variety table.
 
 Terms may repeat variables; a bracketing (``grpd.bracketings``) is the
 term over x1..xn in which each occurs once, in order.  Identity checks
 are exhaustive over all assignments; on failure the lexicographically
-first failing assignment is reported.
+first failing assignment is reported.  ``VARIETIES`` names each variety
+once, for ``search --check``, ``grpd variety`` and the catalog tags, with
+its identities as text; the membership predicates read it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .errors import GuardError, ParseError
 from .nonassoc import defect_slabs
 
 MAX_IDENTITY_VARS = 8
+MAX_TERM_DEPTH = 256  # nested products in a term from outside: parsed text, a scheme's n, Cp's p
 _VECTOR_CHUNK = 1 << 22  # max assignment-space entries vectorized at once
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9]*\Z")
@@ -117,13 +121,15 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").replace("=", " = ").split()
 
 
-def _parse_term_tokens(tokens: list[str], idx: int) -> tuple[Term, int]:
+def _parse_term_tokens(tokens: list[str], idx: int, depth: int = 0) -> tuple[Term, int]:
     if idx >= len(tokens):
         raise ParseError("unexpected end of input", idx)
     tok = tokens[idx]
     if tok == "(":
-        lt, idx = _parse_term_tokens(tokens, idx + 1)
-        rt, idx = _parse_term_tokens(tokens, idx)
+        if depth == MAX_TERM_DEPTH:
+            raise GuardError(f"terms capped at depth {MAX_TERM_DEPTH} (nested products)")
+        lt, idx = _parse_term_tokens(tokens, idx + 1, depth + 1)
+        rt, idx = _parse_term_tokens(tokens, idx, depth + 1)
         if idx >= len(tokens) or tokens[idx] != ")":
             raise ParseError("unbalanced parenthesis", idx)
         return prod(lt, rt), idx + 1
@@ -235,97 +241,20 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
 
 
 # ---------------------------------------------------------------------------
-# named identities and variety predicates
+# the variety table
 
 
-@lru_cache(maxsize=None)
-def _ident(text: str) -> Identity:
-    return parse_identity(text)
+_ident = lru_cache(maxsize=None)(parse_identity)
 
 
-ASSOCIATIVITY = "((x y) z) = (x (y z))"
-_IDEMPOTENCE = "(x x) = x"
-_XY_Y = "((x y) y) = (x y)"
-_X_YZ = "(x (y z)) = (x y)"
-_D = ("(x (y x)) = (x y)", "((x y) x) = (x y)", _XY_Y, "((x y) (y x)) = (x y)")
-
-# Each named check as the identities that define it (``in_D`` adds
-# ``CHECK_SCHEMES``); the predicates below and ``search`` both read it.
-CHECK_IDENTITIES = {
-    "is_semigroup": (ASSOCIATIVITY,),
-    "is_left_zero": ("(x y) = x",),
-    "is_right_zero": ("(x y) = y",),
-    "is_rect_band": (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = x"),
-    "is_left_regular_band": (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = (x y)"),
-    "is_right_regular_band": (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = (y x)"),
-    "in_B": (_IDEMPOTENCE, "(x (x y)) = (x y)") + _D,
-    "in_A": ("(x (y (z u))) = (x ((y z) u))",),
-    "in_D": _D,
-    "in_D_cap_A": (_IDEMPOTENCE, _X_YZ, _XY_Y),
-}
+def _mirror(t: Term) -> Term:
+    """``t`` with every product's factors swapped: its value in ``g`` is ``t``'s in ``dual(g)``."""
+    return t if t.is_var else prod(_mirror(t.right), _mirror(t.left))
 
 
-def _holds_all(g: Groupoid, texts) -> bool:
-    """Every identity holds; associativity is decided by ``is_semigroup``."""
-    return all(is_semigroup(g) if t == ASSOCIATIVITY else satisfies_identity(g, _ident(t))[0]
-               for t in texts)
-
-
-def is_semigroup(g: Groupoid) -> bool:
-    """Associativity: no nonassociative triple in the whole table."""
-    return not any(mask.any() for _, mask in defect_slabs(g))
-
-
-def is_left_zero(g: Groupoid) -> bool:
-    return _holds_all(g, CHECK_IDENTITIES["is_left_zero"])
-
-
-def is_right_zero(g: Groupoid) -> bool:
-    return _holds_all(g, CHECK_IDENTITIES["is_right_zero"])
-
-
-def is_rect_band(g: Groupoid) -> bool:
-    """Idempotent semigroup with xyx = x."""
-    return _holds_all(g, CHECK_IDENTITIES["is_rect_band"])
-
-
-def is_left_regular_band(g: Groupoid) -> bool:
-    """Idempotent semigroup with xyx = xy."""
-    return _holds_all(g, CHECK_IDENTITIES["is_left_regular_band"])
-
-
-def is_right_regular_band(g: Groupoid) -> bool:
-    """Idempotent semigroup with xyx = yx."""
-    return _holds_all(g, CHECK_IDENTITIES["is_right_regular_band"])
-
-
-def in_B(g: Groupoid) -> bool:
-    """Membership in the variety defined by xx=x and
-    x(xy)=x(yx)=(xy)x=(xy)y=(xy)(yx)=xy."""
-    return _holds_all(g, CHECK_IDENTITIES["in_B"])
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
-def in_Cp(g: Groupoid, p: int) -> bool:
-    """Membership in the p-cyclic groupoid variety:
-    xx=x, x(yz)=xy, (xy)z=(xz)y, x y^p=x (p prime)."""
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    power = Identity(_left_assoc_term(["x"] + ["y"] * p), var("x"))
-    return (
-        _holds_all(g, (_IDEMPOTENCE, _X_YZ, "((x y) z) = ((x z) y)"))
-        and satisfies_identity(g, power)[0]
-    )
-
-
-def in_A(g: Groupoid) -> bool:
-    """Membership in the variety defined by x(y(zu)) = x((yz)u)."""
-    return _holds_all(g, CHECK_IDENTITIES["in_A"])
+def _dual_text(text: str) -> str:
+    ident = parse_identity(text)
+    return f"{term_to_string(_mirror(ident.lhs))} = {term_to_string(_mirror(ident.rhs))}"
 
 
 def satisfies_D_scheme(g: Groupoid) -> bool:
@@ -350,20 +279,125 @@ def satisfies_D_scheme(g: Groupoid) -> bool:
     return True
 
 
-def in_D(g: Groupoid) -> bool:
-    """Membership in the variety defined by
-    x(yx)=(xy)x=(xy)y=(xy)(yx)=xy plus the absorption scheme
-    x * (left-assoc x*y1*...*yk) = x."""
-    return _holds_all(g, CHECK_IDENTITIES["in_D"]) and satisfies_D_scheme(g)
+class Variety(NamedTuple):
+    """One variety: its ``search --check`` name (also the name of its
+    predicate in this module), its ``grpd variety`` name and its catalog
+    tag, each None where it has none, and its defining identities.
+    ``scheme`` is a further condition that no identity list states."""
+
+    check: str | None
+    name: str
+    tag: str | None
+    identities: tuple[str, ...]
+    scheme: Callable[[Groupoid], bool] | None = None
+
+    @property
+    def holds(self) -> Callable[[Groupoid], bool]:
+        """The function named ``check`` (the benchmark's tracer rebinds it
+        by name) if there is one, else a predicate built from the row."""
+        return globals()[self.check] if self.check else _predicate(self.name, "name")
 
 
-def in_D_cap_A(g: Groupoid) -> bool:
-    """The finitely based intersection: xx=x, x(yz)=xy, (xy)y=xy."""
-    return _holds_all(g, CHECK_IDENTITIES["in_D_cap_A"])
+ASSOCIATIVITY = "((x y) z) = (x (y z))"
+_IDEMPOTENCE = "(x x) = x"
+_XY_Y = "((x y) y) = (x y)"
+_X_YZ = "(x (y z)) = (x y)"
+_POWER = "x y^p = x"  # x times p factors y, left-nested; Cp's p sets it
+_D = ("(x (y x)) = (x y)", "((x y) x) = (x y)", _XY_Y, "((x y) (y x)) = (x y)")
+_B = (_IDEMPOTENCE, "(x (x y)) = (x y)") + _D
+
+# In the order of ``grpd variety --help``.
+VARIETIES = (
+    Variety("is_semigroup", "semigroup", "semigroup", (ASSOCIATIVITY,)),
+    Variety("is_left_zero", "left-zero", None, ("(x y) = x",)),
+    Variety("is_right_zero", "right-zero", None, ("(x y) = y",)),
+    Variety("is_rect_band", "rect-band", "rectBand", (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = x")),
+    Variety("is_left_regular_band", "left-regular-band", None,
+            (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = (x y)")),
+    Variety("is_right_regular_band", "right-regular-band", None,
+            (ASSOCIATIVITY, _IDEMPOTENCE, "((x y) x) = (y x)")),
+    Variety("in_B", "B", "inB", _B),
+    Variety(None, "Bd", "inBd", tuple(map(_dual_text, _B))),
+    Variety("in_A", "A", "inA", ("(x (y (z u))) = (x ((y z) u))",)),
+    Variety("in_D", "D", "inD", _D, satisfies_D_scheme),
+    Variety("in_D_cap_A", "DcapA", "inDcapA", (_IDEMPOTENCE, _X_YZ, _XY_Y)),
+    Variety(None, "Cp", "inCp", (_IDEMPOTENCE, _X_YZ, "((x y) z) = ((x z) y)", _POWER)),
+)
+CP = VARIETIES[-1]
 
 
-# The one check that identities alone do not define.
-CHECK_SCHEMES = {"in_D": satisfies_D_scheme}
+def variety(column: str, key: str) -> Variety:
+    """The row whose ``column`` (``check``, ``name`` or ``tag``) is ``key``."""
+    return next(v for v in VARIETIES if getattr(v, column) == key)
+
+
+def predicates(column: str) -> dict[str, Callable[[Groupoid], bool]]:
+    """Membership predicates keyed by ``column``, for the rows with a key
+    there; Cp takes p, so ``predicate`` looks it up."""
+    return {getattr(v, column): v.holds for v in VARIETIES if getattr(v, column) and v is not CP}
+
+
+def predicate(view: dict, key: str, column: str) -> Callable[[Groupoid], bool]:
+    """``view[key]``, or for Cp's ``<name>:<p>`` or ``<tag>:<p>`` the
+    membership predicate with p bound."""
+    prefix = f"{getattr(CP, column)}:"
+    if not key.startswith(prefix):
+        return view[key]
+    try:
+        p = int(key[len(prefix):])
+    except ValueError:
+        raise ValueError(f"bad variety {key!r}; use {prefix}<prime>, e.g. {prefix}3") from None
+    return lambda g: in_Cp(g, p)
+
+
+def _holds_all(g: Groupoid, texts, p: int | None = None) -> bool:
+    """Every identity holds; associativity is decided by ``is_semigroup``
+    and Cp's power identity takes ``p``."""
+    power = Identity(_left_assoc_term(["x"] + ["y"] * p), var("x")) if p is not None else None
+    return all(is_semigroup(g) if t == ASSOCIATIVITY
+               else satisfies_identity(g, power if t == _POWER else _ident(t))[0]
+               for t in texts)
+
+
+def _predicate(key: str, column: str = "check") -> Callable[[Groupoid], bool]:
+    """Membership in the variety of the row whose ``column`` is ``key``."""
+    v = variety(column, key)
+
+    def holds(g: Groupoid) -> bool:
+        return _holds_all(g, v.identities) and (v.scheme is None or v.scheme(g))
+
+    holds.__name__ = holds.__qualname__ = key
+    holds.__doc__ = f"Membership in {v.name}: {'; '.join(v.identities)}{' and its scheme' if v.scheme else ''}."
+    return holds
+
+
+def is_semigroup(g: Groupoid) -> bool:
+    """Associativity: no nonassociative triple in the whole table."""
+    return not any(mask.any() for _, mask in defect_slabs(g))
+
+
+is_left_zero = _predicate("is_left_zero")
+is_right_zero = _predicate("is_right_zero")
+is_rect_band = _predicate("is_rect_band")
+is_left_regular_band = _predicate("is_left_regular_band")
+is_right_regular_band = _predicate("is_right_regular_band")
+in_B = _predicate("in_B")
+in_A = _predicate("in_A")
+in_D = _predicate("in_D")
+in_D_cap_A = _predicate("in_D_cap_A")
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def in_Cp(g: Groupoid, p: int) -> bool:
+    """Membership in the p-cyclic groupoid variety Cp, for p prime."""
+    if p > MAX_TERM_DEPTH:
+        raise GuardError(f"Cp capped at p = {MAX_TERM_DEPTH} (term depth)")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return _holds_all(g, CP.identities, p)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +414,8 @@ def scheme_identity(name: str, n: int):
     """
     if n < 3:
         raise ValueError("scheme identities need n >= 3")
+    if n > MAX_TERM_DEPTH:
+        raise GuardError(f"scheme identities capped at n = {MAX_TERM_DEPTH} (term depth)")
     xs = [f"x{i}" for i in range(1, n + 1)]
     left = _left_assoc_term(xs)
     right = _right_assoc_term(xs)

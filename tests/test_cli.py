@@ -155,3 +155,51 @@ def test_verify_paper_fast(capsys):
     assert statuses <= {"pass", "skipped"}
     skipped = [c for c in doc["claims"] if c["status"] == "skipped"]
     assert skipped and all(c["claimId"] == "scan-size4-leftright-n4" for c in skipped)
+
+
+def test_variety_lists_are_pinned(capsys, g1_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["variety", "--help"])
+    assert exc.value.code == 0
+    assert ("semigroup, left-zero, right-zero, rect-band, left-regular-band, "
+            "right-regular-band, B, Bd, A, D, DcapA, Cp:<prime>") in " ".join(capsys.readouterr().out.split())
+    code, out, err = run(capsys, "variety", g1_file, "nonsense")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown variety 'nonsense'; choose from A, B, Bd, D, DcapA, left-regular-band, "
+                   "left-zero, rect-band, right-regular-band, right-zero, semigroup, Cp:<prime>\n")
+
+
+@pytest.fixture()
+def f2cp2_file(tmp_path):
+    path = tmp_path / "f2cp-2.gpd"
+    path.write_text(write_groupoid(catalog_get("f2cp-2").groupoid))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", ["Cp:x", "Cp:"])
+def test_variety_cp_needs_an_integer(capsys, f2cp2_file, spec):
+    code, out, err = run(capsys, "variety", f2cp2_file, spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad variety '{spec}'; use Cp:<prime>, e.g. Cp:3\n"
+
+
+@pytest.mark.parametrize("spec", ["Cp:997", "Cp:1000000000000000003"])
+def test_variety_cp_above_the_depth_cap_exits_2_before_the_primality_test(capsys, f2cp2_file, spec):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "variety", f2cp2_file, spec)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: Cp capped at p = 256 (term depth)\n"
+
+
+def test_check_deeply_nested_term_exits_2(capsys, g3_file):
+    deep = "(" * 1000 + "x" + " x)" * 1000
+    code, out, err = run(capsys, "check", g3_file, f"{deep} = x")
+    assert (code, out) == (2, "")
+    assert err == "error: terms capped at depth 256 (nested products)\n"
+
+
+def test_search_deep_scheme_exits_2(capsys):
+    code, out, err = run(capsys, "search", "--size", "2", "--idempotent", "--satisfy", "nulla:1200")
+    assert (code, out) == (2, "")
+    assert err == "error: scheme identities capped at n = 256 (term depth)\n"

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from grpd import clone
 from grpd.catalog import catalog_get
 from grpd.clone import (
     binary_clone_part,
@@ -112,7 +113,9 @@ def closure_is_projections_only(g):
     from grpd.errors import GuardError
 
     try:
-        part = binary_clone_part(g, guard=8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clone, "CLONE_GUARD", 8)
+            part = binary_clone_part(g)
     except GuardError:
         return False
     return len(part) == 2 and part.basic_index in (0, 1)

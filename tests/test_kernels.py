@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd.bracketings import enumerate_bracketings
-from grpd import nonassoc, search
+from grpd import clone, nonassoc, search
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table
 from grpd.core import Groupoid, find_isomorphism, generate_subuniverse
@@ -265,13 +265,15 @@ small_tables = st.integers(1, 3).flatmap(
 @given(small_tables)
 def test_clone_closure_matches_pairwise_reference(g):
     guard = 150
-    try:
-        names, done = reference_closure(g, guard)
-    except GuardError:
-        with pytest.raises(GuardError):
-            binary_clone_part(g, guard)
-        return
-    part = binary_clone_part(g, guard)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clone, "CLONE_GUARD", guard)
+        try:
+            names, done = reference_closure(g, guard)
+        except GuardError:
+            with pytest.raises(GuardError):
+                binary_clone_part(g)
+            return
+        part = binary_clone_part(g)
     m = len(part)
     assert part.names == tuple(names)
     assert len(done) == m * m

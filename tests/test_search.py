@@ -12,7 +12,6 @@ from grpd.errors import GuardError
 from grpd import search
 from grpd.search import CHECKS, all_tables, search_tables
 from grpd.terms import (
-    CHECK_IDENTITIES,
     Identity,
     eval_term,
     in_D,
@@ -23,6 +22,7 @@ from grpd.terms import (
     satisfies_identity,
     scheme_identity,
     var,
+    variety,
 )
 
 ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
@@ -186,10 +186,11 @@ def test_size3_sweeps_pinned(check):
 def test_in_D_absorption_scheme_rejects_tables_passing_its_identities():
     # the constant table satisfies D's identities, but 1 * (1 * 1) = 0 != 1
     zero = Groupoid(("0", "1"), [[0, 0], [0, 0]])
-    assert all(satisfies_identity(zero, parse_identity(t))[0] for t in CHECK_IDENTITIES["in_D"])
+    d_texts = variety("check", "in_D").identities
+    assert all(satisfies_identity(zero, parse_identity(t))[0] for t in d_texts)
     assert not satisfies_D_scheme(zero)
     assert not in_D(zero)
-    d_identities = [parse_identity(t) for t in CHECK_IDENTITIES["in_D"]]
+    d_identities = [parse_identity(t) for t in d_texts]
     summary = search_tables(2, False, d_identities, "in_D")
     assert scan(summary) == (5, 4, 0, zero)
     for chunk in (1 << 20, 7):

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grpd.catalog import catalog_get
-from grpd.core import Groupoid, parse_groupoid
+from grpd import claims, cli
+from grpd.catalog import catalog_get, catalog_list
+from grpd.core import Groupoid, dual, parse_groupoid
 from grpd.errors import GuardError, ParseError
 from grpd.terms import (
+    MAX_TERM_DEPTH,
     Identity,
     evaluate,
     in_A,
@@ -23,6 +27,8 @@ from grpd.terms import (
     is_semigroup,
     parse_identity,
     parse_term,
+    predicate,
+    predicates,
     prod,
     satisfies_D_scheme,
     satisfies_identity,
@@ -312,6 +318,10 @@ def test_scheme_guard():
         scheme_identity("nulla", 2)
     with pytest.raises(ValueError):
         scheme_identity("bogus", 4)
+    pair_ = scheme_identity("prefixed_pair", MAX_TERM_DEPTH)
+    assert len(pair_[0].variables) == MAX_TERM_DEPTH + 1
+    with pytest.raises(GuardError, match="capped at n = 256"):
+        scheme_identity("nulla", MAX_TERM_DEPTH + 1)
 
 
 # --- absorption ---------------------------------------------------------------
@@ -320,3 +330,96 @@ def test_is_absorption():
     assert is_absorption(parse_identity("(x (x y)) = x"))
     assert is_absorption(parse_identity("x = x"))
     assert not is_absorption(parse_identity("(x y) = (y x)"))
+
+
+# --- term depth cap -----------------------------------------------------------
+
+def test_terms_at_the_depth_cap_evaluate_and_deeper_ones_are_refused():
+    deep = "(" * MAX_TERM_DEPTH + "x" + " x)" * MAX_TERM_DEPTH
+    assert satisfies_identity(SEMILATTICE_2, parse_identity(f"{deep} = x")) == (True, None)
+    with pytest.raises(GuardError, match="depth 256"):
+        parse_term(f"({deep} x)")
+    assert in_Cp(LEFT_ZERO, 251)  # the largest prime under the cap
+    with pytest.raises(GuardError, match="p = 256"):
+        in_Cp(LEFT_ZERO, 257)
+
+
+# --- the variety table against the predicates it replaced -----------------------
+
+ASSOC = "((x y) z) = (x (y z))"
+IDEM = "(x x) = x"
+D_TEXTS = ("(x (y x)) = (x y)", "((x y) x) = (x y)", "((x y) y) = (x y)", "((x y) (y x)) = (x y)")
+
+
+def holds_all(g, texts):
+    return all(satisfies_identity(g, parse_identity(t))[0] for t in texts)
+
+
+def old_in_b(g):
+    return holds_all(g, (IDEM, "(x (x y)) = (x y)") + D_TEXTS)
+
+
+def old_in_cp(g, p):
+    power = parse_identity("(" * p + "x" + " y)" * p + " = x")
+    return holds_all(g, (IDEM, "(x (y z)) = (x y)", "((x y) z) = ((x z) y)")) and satisfies_identity(g, power)[0]
+
+
+# each ``grpd variety`` name as the identity lists the table replaced
+OLD_VARIETIES = {
+    "semigroup": lambda g: holds_all(g, (ASSOC,)),
+    "left-zero": lambda g: holds_all(g, ("(x y) = x",)),
+    "right-zero": lambda g: holds_all(g, ("(x y) = y",)),
+    "rect-band": lambda g: holds_all(g, (ASSOC, IDEM, "((x y) x) = x")),
+    "left-regular-band": lambda g: holds_all(g, (ASSOC, IDEM, "((x y) x) = (x y)")),
+    "right-regular-band": lambda g: holds_all(g, (ASSOC, IDEM, "((x y) x) = (y x)")),
+    "B": old_in_b,
+    "Bd": lambda g: old_in_b(dual(g)),
+    "A": lambda g: holds_all(g, ("(x (y (z u))) = (x ((y z) u))",)),
+    "D": lambda g: holds_all(g, D_TEXTS) and satisfies_D_scheme(g),
+    "DcapA": lambda g: holds_all(g, (IDEM, "(x (y z)) = (x y)", "((x y) y) = (x y)")),
+}
+OLD_TAGS = {"semigroup": "semigroup", "rectBand": "rect-band", "inB": "B", "inBd": "Bd",
+            "inA": "A", "inD": "D", "inDcapA": "DcapA"}
+
+
+def assert_table_matches_old_predicates(g):
+    for name, old in OLD_VARIETIES.items():
+        assert cli._VARIETIES[name](g) == old(g), name
+    for tag, name in OLD_TAGS.items():
+        assert claims._TAG_CHECKS[tag](g) == OLD_VARIETIES[name](g), tag
+    assert in_B(dual(g)) == OLD_VARIETIES["Bd"](g)
+    for p in (2, 3):
+        want = old_in_cp(g, p)
+        assert predicate(cli._VARIETIES, f"Cp:{p}", "name")(g) == want
+        assert predicate(claims._TAG_CHECKS, f"inCp:{p}", "tag")(g) == want
+
+
+def test_variety_table_keys():
+    assert list(predicates("name")) == list(cli._VARIETIES) == list(OLD_VARIETIES)
+    assert set(predicates("tag")) == set(OLD_TAGS)
+
+
+def table_of(n, cells, idempotent):
+    table = np.array(cells).reshape(n, n)
+    if idempotent:
+        np.fill_diagonal(table, np.arange(n))
+    return Groupoid(tuple(str(i) for i in range(n)), table)
+
+
+random_tables = st.integers(1, 4).flatmap(
+    lambda n: st.builds(table_of, st.just(n), st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n),
+                        st.booleans())
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_tables)
+def test_variety_table_matches_the_predicates_it_replaced(g):
+    assert_table_matches_old_predicates(g)
+
+
+@pytest.mark.parametrize("name", catalog_list())
+def test_variety_table_matches_the_predicates_it_replaced_on_the_catalog(name):
+    g = catalog_get(name).groupoid
+    assert_table_matches_old_predicates(g)
+    assert_table_matches_old_predicates(dual(g))
