@@ -319,7 +319,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, GuardError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return 2
 
 

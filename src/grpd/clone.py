@@ -140,14 +140,12 @@ class ProxyVerdict:
 
     ``passes`` means every nontrivial binary clone op generates the
     basic operation back -- consistent with (not a proof of) clone
-    minimality.  Otherwise the first failing op is the witness that the
-    clone is certainly not minimal.
+    minimality.  Otherwise ``witness_name`` is the term of the first
+    failing op, a witness that the clone is certainly not minimal.
     """
 
     passes: bool
-    witness_index: int | None = None
     witness_name: str | None = None
-    witness: OpTable | None = None
 
 
 def binary_minimality_proxy(g: Groupoid) -> ProxyVerdict:
@@ -155,18 +153,15 @@ def binary_minimality_proxy(g: Groupoid) -> ProxyVerdict:
     closure of the projections under h recovers the basic operation.
 
     The first h (clone discovery order) that fails is returned as a
-    witness of non-minimality.
+    witness of non-minimality.  The projections are ``ops[0]`` and
+    ``ops[1]``, and no other op equals them.
     """
     if is_trivial_clone(g):
         raise ValueError("basic operation is a projection; proxy needs a nontrivial clone")
     part = binary_clone_part(g)
-    e1, e2 = _projections(g.n)
-    for idx, op in enumerate(part.ops):
-        arr = op.as_array()
-        if np.array_equal(arr, e1) or np.array_equal(arr, e2):
-            continue
-        if not generates_basic(g, op):
-            return ProxyVerdict(False, idx, part.names[idx], op)
+    for idx in range(2, len(part)):
+        if not generates_basic(g, part.ops[idx]):
+            return ProxyVerdict(False, part.names[idx])
     return ProxyVerdict(True)
 
 
@@ -186,11 +181,12 @@ def _subset_preserved_by(table: np.ndarray, members: np.ndarray) -> bool:
 def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | None:
     """First relation preserved by the suspect but not by the basic op.
 
-    Subsets are scanned in ascending bitmask order, then partitions
-    finest-first (restricted-growth order within one block count).  The
-    one-block partition and all-singletons are compatible with every
-    operation, so they are skipped.  Returns None when no relation
-    separates the two operations.
+    Subsets are scanned in ascending bitmask order, then partitions in
+    one pass over ``enumerate_partitions``: finest first, in
+    restricted-growth order within one block count.  The one-block
+    partition and all-singletons are compatible with every operation,
+    so they are skipped.  Returns None when no relation separates the
+    two operations.
     """
     n = g.n
     if n > WITNESS_SUBSET_MAX_N:
@@ -204,10 +200,7 @@ def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | No
         if _subset_preserved_by(s_table, members) and not _subset_preserved_by(f_table, members):
             return SubsetWitness("subset", frozenset(members.tolist()))
     if n <= WITNESS_PARTITION_MAX_N:
-        for nblocks in range(n - 1, 1, -1):
-            for p in enumerate_partitions(n):
-                if len(p.blocks) != nblocks:
-                    continue
-                if partition_preserved_by(s_table, p) and not partition_preserved_by(f_table, p):
-                    return SubsetWitness("partition", p)
+        for p in enumerate_partitions(n):
+            if 1 < len(p.blocks) < n and partition_preserved_by(s_table, p) and not partition_preserved_by(f_table, p):
+                return SubsetWitness("partition", p)
     return None

@@ -220,51 +220,50 @@ def generate_subuniverse(g: Groupoid, seeds) -> frozenset[int]:
 
 
 def enumerate_partitions(n: int):
-    """Yield every partition of {0,..,n-1} exactly once.
+    """Yield every partition of {0,..,n-1} exactly once, finest first.
 
-    Enumeration follows restricted-growth strings in lexicographic
-    order, so the first partition is all-in-one-block and the last is
-    all singletons.
+    Block counts run from n (all singletons) down to 1 (one block);
+    within one count the partitions follow their restricted-growth
+    strings in lexicographic order.  Each count is built directly, never
+    filtered from the others, so the whole enumeration costs Bell(n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > PARTITION_MAX_N:
         raise GuardError(f"partition enumeration capped at n={PARTITION_MAX_N}")
 
-    def rec(i, rgs, maxid):
-        if i == n:
-            nblocks = maxid + 1
+    def rec(rgs, maxid, nblocks):
+        if len(rgs) == n:
             blocks = [[] for _ in range(nblocks)]
             for x, b in enumerate(rgs):
                 blocks[b].append(x)
             yield Partition(tuple(tuple(b) for b in blocks))
             return
-        for b in range(maxid + 2):
+        # an old block only while enough elements remain to open the rest
+        for b in range(maxid + 1 if n - len(rgs) > nblocks - 1 - maxid else 0):
             rgs.append(b)
-            yield from rec(i + 1, rgs, max(maxid, b))
+            yield from rec(rgs, maxid, nblocks)
+            rgs.pop()
+        if maxid + 1 < nblocks:
+            rgs.append(maxid + 1)
+            yield from rec(rgs, maxid + 1, nblocks)
             rgs.pop()
 
-    yield from rec(1, [0], 0)
+    for nblocks in range(n, 0, -1):
+        yield from rec([0], 0, nblocks)
 
 
 def partition_preserved_by(table: np.ndarray, p: Partition) -> bool:
     """Is the partition compatible with an arbitrary binary op table?
 
-    Checks a ~ a' implies a*v ~ a'*v and v*a ~ v*a' for every v; by
-    transitivity this is equivalent to full two-sided compatibility.
+    Checks a ~ a' implies a*v ~ a'*v and v*a ~ v*a' for every v, comparing
+    each element's row and column of block ids with those of its block's
+    first member; by transitivity this is full two-sided compatibility.
     """
     ids = np.asarray(p.block_ids())
+    firsts = np.array([b[0] for b in p.blocks])[ids]
     t = ids[table]
-    for block in p.blocks:
-        if len(block) == 1:
-            continue
-        first = block[0]
-        for other in block[1:]:
-            if not np.array_equal(t[first], t[other]):
-                return False
-            if not np.array_equal(t[:, first], t[:, other]):
-                return False
-    return True
+    return bool(np.array_equal(t, t[firsts]) and np.array_equal(t, t[:, firsts]))
 
 
 def is_congruence(g: Groupoid, p: Partition) -> bool:

@@ -170,7 +170,9 @@ def search_tables(
     before any work.
     """
     limit = MAX_SIZE_IDEMPOTENT if idempotent_only else MAX_SIZE_GENERAL
-    if size < 1 or size > limit:
+    if size < 1:
+        raise ValueError("search size must be >= 1")
+    if size > limit:
         raise GuardError(
             f"search capped at size {limit} ({'idempotent' if idempotent_only else 'general'} tables)"
         )

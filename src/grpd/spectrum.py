@@ -19,9 +19,8 @@ import numpy as np
 from .bracketings import _positions, catalan, enumerate_bracketings
 from .core import Groupoid
 from .errors import GuardError
-from .terms import Term, axis_env, satisfies_identity, scheme_identity
+from .terms import DEFAULT_BUDGET, Term, axis_env, gather_term, satisfies_identity, scheme_identity
 
-DEFAULT_BUDGET = 10 ** 8
 SPECTRUM_MAX_N = 10
 ORACLE_MAX_N = 14
 
@@ -82,29 +81,6 @@ class SpectrumReport:
         return len(self.values)
 
 
-def _evaluate_tree(g: Groupoid, t: Term, env: dict, cache: dict, root: np.ndarray | None = None):
-    """Broadcast-evaluate a term over the axis arrays of ``env``.
-
-    The result only spans the axes of the variables that occur in the
-    subterm; callers broadcast to the full shape.  The root is gathered
-    from ``root``.  Proper subterms are gathered from the int64
-    ``g.table``, since they index the next gather, and memoized in
-    ``cache`` (across the bracketings of one size in ``spectrum``).  The
-    root's table is not stored: a bracketing of one size is never a
-    proper subterm of another of that size, so it would never be looked up.
-    """
-    if t.is_var:
-        return env[t.name]
-    out = cache.get(t)
-    if out is None:
-        left = _evaluate_tree(g, t.left, env, cache)
-        right = _evaluate_tree(g, t.right, env, cache)
-        out = (g.table if root is None else root)[left, right]
-        if root is None:
-            cache[t] = out
-    return out
-
-
 def term_function(g: Groupoid, t: Term, budget: int = DEFAULT_BUDGET, variables=None) -> OpTable:
     """Tabulate the term function t induces on g.
 
@@ -115,7 +91,7 @@ def term_function(g: Groupoid, t: Term, budget: int = DEFAULT_BUDGET, variables=
     k = len(names)
     if g.n ** k > budget:
         raise GuardError(f"evaluation budget exceeded ({g.n}^{k} > {budget})")
-    arr = _evaluate_tree(g, t, axis_env(names, g.n), {}, g.table)
+    arr = gather_term(t, axis_env(names, g.n), g, g.table, {})
     full = np.broadcast_to(arr, (g.n,) * k)
     return OpTable(k, g.n, full.reshape(-1).copy())
 
@@ -132,6 +108,8 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     if max_n > SPECTRUM_MAX_N:
         raise GuardError(f"spectrum capped at max_n={SPECTRUM_MAX_N}")
     narrow = g.narrow_table
@@ -144,7 +122,7 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
         cache: dict = {}
         members: dict[bytes, list[int]] = {}  # table bytes -> bracketing indices
         for idx, b in enumerate(enumerate_bracketings(n)):
-            data = _evaluate_tree(g, b, env, cache, narrow).tobytes()  # spans all n axes
+            data = gather_term(b, env, g, narrow, cache).tobytes()  # spans all n axes
             members.setdefault(data, []).append(idx)
         values.append(len(members))
         classes.append(tuple(tuple(m) for m in members.values()))
@@ -180,6 +158,7 @@ def nulla_satisfied(g: Groupoid, n: int) -> bool:
     """Does g satisfy left-assoc(x1..xn) = x1*(left-assoc(x2..xn))?
 
     Uses the generic identity checker, whose loop over leading variables
-    keeps memory bounded however large g.n ** n is.
+    keeps memory bounded; more than ``DEFAULT_BUDGET`` assignments
+    (g.n ** n) raise GuardError.
     """
     return satisfies_identity(g, scheme_identity("nulla", n))[0]

@@ -18,13 +18,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import nonassoc
 from .core import Groupoid
 from .errors import GuardError, ParseError
-from .nonassoc import defect_slabs
 
+DEFAULT_BUDGET = 10 ** 8  # assignments of one term function or identity check
 MAX_IDENTITY_VARS = 8
 MAX_TERM_DEPTH = 256  # nested products in a term from outside: parsed text, a scheme's n, Cp's p
-_VECTOR_CHUNK = 1 << 22  # max assignment-space entries vectorized at once
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 
@@ -169,18 +169,40 @@ def parse_identity(text: str) -> Identity:
 # evaluation
 
 
-def eval_term(t: Term, env: dict, product):
+def eval_term(t: Term, env: dict, product, cache: dict | None = None):
     """Evaluate a term, combining subterm values with ``product(left, right)``.
 
     The values may be element indices, broadcastable index arrays or
     whole table columns; ``product`` decides how two of them multiply.
+    Given a ``cache``, each product subterm is evaluated once and kept
+    there, so it must only be shared by evaluations over the same ``env``.
     """
     if t.is_var:
         try:
             return env[t.name]
         except KeyError:
             raise ValueError(f"unbound variable {t.name!r}") from None
-    return product(eval_term(t.left, env, product), eval_term(t.right, env, product))
+    if cache is None:
+        return product(eval_term(t.left, env, product), eval_term(t.right, env, product))
+    out = cache.get(t)
+    if out is None:
+        out = cache[t] = product(eval_term(t.left, env, product, cache),
+                                 eval_term(t.right, env, product, cache))
+    return out
+
+
+def gather_term(t: Term, env: dict, g: Groupoid, top: np.ndarray, cache: dict):
+    """``t`` over the index arrays of ``env``, spanning only the axes of its
+    variables: the top product is gathered from ``top``, proper subterms from
+    the int64 ``g.table``, since they index the next gather, through
+    ``eval_term`` with ``cache``.  The top is not cached, as its dtype may
+    be too narrow to index a gather."""
+    def product(a, b):
+        return g.table[a, b]
+
+    if t.is_var:
+        return eval_term(t, env, product)
+    return top[eval_term(t.left, env, product, cache), eval_term(t.right, env, product, cache)]
 
 
 def axis_env(names, n: int) -> dict[str, np.ndarray]:
@@ -201,34 +223,36 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
 
     Returns (True, None), or (False, witness) with the lexicographically
     first failing assignment (variables ordered by first occurrence,
-    lhs before rhs).  Vectorized over a suffix of the variables; the
-    leading variables are looped so memory stays bounded.
+    lhs before rhs).  More than ``DEFAULT_BUDGET`` assignments (n^v)
+    raise GuardError before any work.  Each block of assignments spans
+    the trailing variables that fit in ``nonassoc.SLAB_CELLS`` cells, and
+    the leading variables are looped, so memory stays bounded.  The two
+    sides share one subterm cache per block, and their top products are
+    gathered from ``g.narrow_table``.
     """
     variables = ident.variables
     v = len(variables)
     if v > MAX_IDENTITY_VARS:
         raise GuardError(f"identity check capped at {MAX_IDENTITY_VARS} variables")
     n = g.n
+    if n ** v > DEFAULT_BUDGET:
+        raise GuardError(f"evaluation budget exceeded ({n}^{v} > {DEFAULT_BUDGET})")
 
-    # how many trailing variables fit in one vectorized block
     suffix = 0
-    while suffix < v and n ** (suffix + 1) <= _VECTOR_CHUNK:
+    while suffix < v and n ** (suffix + 1) <= nonassoc.SLAB_CELLS:
         suffix += 1
     prefix_vars = variables[: v - suffix]
     suffix_vars = variables[v - suffix:]
     shape = (n,) * len(suffix_vars)
     suffix_env = axis_env(suffix_vars, n)
-
-    table = g.table
-
-    def product(a, b):
-        return table[a, b]
+    narrow = g.narrow_table
 
     for prefix in itertools.product(range(n), repeat=len(prefix_vars)):
         env = dict(zip(prefix_vars, prefix))
         env.update(suffix_env)
-        lhs = eval_term(ident.lhs, env, product)
-        rhs = eval_term(ident.rhs, env, product)
+        cache: dict = {}
+        lhs = gather_term(ident.lhs, env, g, narrow, cache)
+        rhs = gather_term(ident.rhs, env, g, narrow, cache)
         neq = np.broadcast_to(np.not_equal(lhs, rhs), shape)
         if neq.any():
             flat = int(np.argmax(neq.reshape(-1)))
@@ -373,7 +397,7 @@ def _predicate(key: str, column: str = "check") -> Callable[[Groupoid], bool]:
 
 def is_semigroup(g: Groupoid) -> bool:
     """Associativity: no nonassociative triple in the whole table."""
-    return not any(mask.any() for _, mask in defect_slabs(g))
+    return not any(mask.any() for _, mask in nonassoc.defect_slabs(g))
 
 
 is_left_zero = _predicate("is_left_zero")

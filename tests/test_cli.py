@@ -1,11 +1,12 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from grpd.catalog import catalog_get, catalog_list
 from grpd.cli import main
-from grpd.core import parse_groupoid, write_groupoid
+from grpd.core import Groupoid, parse_groupoid, write_groupoid
 
 
 @pytest.fixture()
@@ -203,3 +204,34 @@ def test_search_deep_scheme_exits_2(capsys):
     code, out, err = run(capsys, "search", "--size", "2", "--idempotent", "--satisfy", "nulla:1200")
     assert (code, out) == (2, "")
     assert err == "error: scheme identities capped at n = 256 (term depth)\n"
+
+
+def test_identity_check_past_the_evaluation_budget_exits_2_before_any_work(capsys, tmp_path):
+    n = 256
+    path = tmp_path / "cyclic-256.gpd"
+    path.write_text(write_groupoid(Groupoid(tuple(map(str, range(n))), np.add.outer(np.arange(n), np.arange(n)) % n)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "variety", str(path), "A")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation budget exceeded (256^4 > 100000000)\n"
+
+
+def test_unknown_catalog_entry_message_is_not_quoted_twice(capsys):
+    code, out, err = run(capsys, "catalog", "show", "nope")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown catalog entry 'nope'\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_spectrum_budget_below_one_exits_2(capsys, g3_file, budget):
+    code, out, err = run(capsys, "spectrum", g3_file, "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be >= 1\n"
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_search_size_below_one_exits_2(capsys, size):
+    code, out, err = run(capsys, "search", "--size", size)
+    assert (code, out) == (2, "")
+    assert err == "error: search size must be >= 1\n"

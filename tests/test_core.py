@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,25 @@ def test_partition_counts(n, count):
     parts = list(enumerate_partitions(n))
     assert len(parts) == count
     assert len(set(parts)) == count
+
+
+def stirling2(n, k):
+    # partitions of n elements into k blocks: S(n, k) = k S(n-1, k) + S(n-1, k-1)
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_partitions_run_finest_first_in_restricted_growth_order(n):
+    parts = list(enumerate_partitions(n))
+    counts = [len(p.blocks) for p in parts]
+    assert counts == sorted(counts, reverse=True)
+    assert [counts.count(k) for k in range(n, 0, -1)] == [stirling2(n, k) for k in range(n, 0, -1)]
+    # every restricted-growth string: starts at 0, each entry at most one above the max before it
+    strings = [r for r in itertools.product(range(n), repeat=n)
+               if all(r[i] <= max(r[:i], default=-1) + 1 for i in range(n))]
+    assert [tuple(p.block_ids()) for p in parts] == sorted(strings, key=lambda r: (-max(r), r))
 
 
 def test_partition_guard():

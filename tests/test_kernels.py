@@ -1,26 +1,27 @@
 """Property tests: each shared kernel against a brute force it must agree with.
 
 Tables are random, of size 1 to 5, idempotent or not, except at the
-narrow-dtype switch, where they have 255 to 300 elements.
+narrow-dtype switch, where they have 255 to 300 elements, and in the
+relational witness search, where they have 2 to 6.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grpd.bracketings import enumerate_bracketings
 from grpd import clone, nonassoc, search
 from grpd.catalog import catalog_get, catalog_list
-from grpd.clone import binary_clone_part, binary_term_table
-from grpd.core import Groupoid, find_isomorphism, generate_subuniverse
+from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness
+from grpd.core import Groupoid, Partition, SubsetWitness, find_isomorphism, generate_subuniverse, partition_preserved_by
 from grpd.errors import GuardError
 from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
 from grpd.search import CHECKS, search_tables
 from grpd.spectrum import spectrum, term_function
-from grpd.terms import Identity, eval_term, evaluate, is_semigroup, prod, satisfies_identity, var
+from grpd.terms import Identity, eval_term, evaluate, is_semigroup, parse_identity, prod, satisfies_identity, var
 
 
 def groupoid_of(size, cells):
@@ -169,16 +170,64 @@ def test_broadcast_evaluation_matches_pointwise(g, term):
         assert got[x, y, z] == evaluate(term, g, {"x": x, "y": y, "z": z})
 
 
-@settings(max_examples=100, deadline=None)
-@given(tables, identities)
-def test_identity_check_matches_pointwise(g, ident):
-    first = None
+def pointwise_identity_check(g, ident):
     for values in itertools.product(range(g.n), repeat=len(ident.variables)):
         env = dict(zip(ident.variables, values))
         if evaluate(ident.lhs, g, env) != evaluate(ident.rhs, g, env):
-            first = env
-            break
-    assert satisfies_identity(g, ident) == (first is None, first)
+            return False, env
+    return True, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables, identities)
+def test_identity_check_matches_pointwise(g, ident):
+    assert satisfies_identity(g, ident) == pointwise_identity_check(g, ident)
+
+
+@pytest.mark.parametrize("slab_power", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(tables, identities)
+def test_identity_check_in_small_blocks_matches_pointwise(slab_power, g, ident):
+    # blocks of n or n^2 cells, so the leading variables are looped
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonassoc, "SLAB_CELLS", g.n ** slab_power)
+        assert satisfies_identity(g, ident) == pointwise_identity_check(g, ident)
+
+
+def int64_identity_check(g, ident):
+    """(holds, first failing assignment), every subterm gathered in int64,
+    one value of the first variable at a time."""
+    names = ident.variables
+    rest = names[1:]
+    shape = (g.n,) * len(rest)
+    env = {name: np.arange(g.n).reshape((1,) * i + (g.n,) + (1,) * (len(rest) - 1 - i))
+           for i, name in enumerate(rest)}
+    for first in range(g.n):
+        env[names[0]] = first
+        lhs = eval_term(ident.lhs, env, lambda a, b: g.table[a, b])
+        rhs = eval_term(ident.rhs, env, lambda a, b: g.table[a, b])
+        neq = np.broadcast_to(lhs != rhs, shape)
+        if neq.any():
+            values = np.unravel_index(int(np.argmax(neq)), shape)
+            return False, dict(zip(names, (first, *map(int, values))))
+    return True, None
+
+
+def one_defect_table(n, v):
+    """0 everywhere except t[1,1] = 2 and t[2,1] = v: its one defect (1,1,1) has sides v and 0."""
+    t = np.zeros((n, n), dtype=np.int64)
+    t[1, 1], t[2, 1] = 2, v
+    return groupoid_of(n, t)
+
+
+ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
+
+
+@settings(max_examples=10, deadline=None)
+@given(tables_at_dtype_switch(), st.one_of(st.just(ASSOCIATIVITY), identities))
+@example(one_defect_table(257, 256), ASSOCIATIVITY)  # sides 256 and 0 agree in uint8
+def test_identity_check_matches_int64_reference_at_dtype_switch(g, ident):
+    assert satisfies_identity(g, ident) == int64_identity_check(g, ident)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,6 +236,76 @@ def test_binary_term_table_matches_pointwise(g, term):
     op = binary_term_table(g, term)
     for x, y in itertools.product(range(g.n), repeat=2):
         assert op(x, y) == evaluate(term, g, {"x": x, "y": y})
+
+
+def partition_of(labels):
+    """The partition of range(len(labels)) whose blocks are the elements with equal labels."""
+    blocks = {}
+    for x, label in enumerate(labels):
+        blocks.setdefault(label, []).append(x)
+    return Partition(tuple(map(tuple, blocks.values())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(partition_of))))
+def test_partition_compatibility_matches_pairwise(case):
+    g, p = case
+    ids = p.block_ids()
+    pairs = [(a, b) for a, b in itertools.product(range(g.n), repeat=2) if ids[a] == ids[b]]
+    want = all(ids[g.prod(a, b)] == ids[g.prod(a2, b2)] for a, a2 in pairs for b, b2 in pairs)
+    assert partition_preserved_by(g.table, p) == want
+
+
+def replaced_relational_witness(g, suspect):
+    """The search find_relational_witness replaced: subsets in bitmask order,
+    then all partitions in restricted-growth order, filtered once for each
+    block count from n-1 down to 2, each tested pairwise."""
+    n = g.n
+    s, f = suspect.as_array(), g.table
+
+    def closed(t, members):
+        return all(t[a, b] in members for a in members for b in members)
+
+    def compatible(t, ids):
+        return all(ids[t[a, b]] == ids[t[a2, b]] and ids[t[b, a]] == ids[t[b, a2]]
+                   for a, a2, b in itertools.product(range(n), repeat=3) if ids[a] == ids[a2])
+
+    for mask in range(1, 1 << n):
+        members = {i for i in range(n) if mask >> i & 1}
+        if closed(s, members) and not closed(f, members):
+            return SubsetWitness("subset", frozenset(members))
+    strings = [r for r in itertools.product(range(n), repeat=n)
+               if all(r[i] <= max(r[:i], default=-1) + 1 for i in range(n))]
+    for nblocks in range(n - 1, 1, -1):
+        for ids in strings:
+            if max(ids) + 1 == nblocks and compatible(s, ids) and not compatible(f, ids):
+                return SubsetWitness("partition", partition_of(ids))
+    return None
+
+
+@st.composite
+def witness_tables(draw):
+    """A table of 2 to 6 elements: arbitrary, idempotent, or conservative
+    (each product one of its factors, so every subset is closed under it
+    and any witness is a partition)."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["any", "idempotent", "conservative"]))
+    cells = []
+    for a, b in itertools.product(range(n), repeat=2):
+        if kind == "conservative" or (kind == "idempotent" and a == b):
+            cells.append(draw(st.sampled_from([a, b])))
+        else:
+            cells.append(draw(st.integers(0, n - 1)))
+    return groupoid_of(n, cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(witness_tables(), terms_over("xy"))
+def test_relational_witness_matches_the_replaced_search(g, term):
+    suspect = binary_term_table(g, term)
+    assert find_relational_witness(g, suspect) == replaced_relational_witness(g, suspect)
 
 
 def enumerate_tables(size, idempotent_only):

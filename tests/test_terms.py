@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpd import claims, cli
+from grpd import claims, cli, terms
 from grpd.catalog import catalog_get, catalog_list
 from grpd.core import Groupoid, dual, parse_groupoid
 from grpd.errors import GuardError, ParseError
@@ -139,6 +139,16 @@ def test_identity_var_guard():
         t = prod(t, x)
     with pytest.raises(GuardError):
         satisfies_identity(SINGLETON, Identity(t, xs[0]))
+
+
+def test_identity_check_budget_admits_exactly_n_to_the_v(monkeypatch):
+    g = cat("G3")
+    ident = parse_identity("((x y) z) = (x (y z))")
+    monkeypatch.setattr(terms, "DEFAULT_BUDGET", g.n ** 3)
+    assert satisfies_identity(g, ident)[0] is False
+    monkeypatch.setattr(terms, "DEFAULT_BUDGET", g.n ** 3 - 1)
+    with pytest.raises(GuardError, match=rf"^evaluation budget exceeded \({g.n}\^3 > {g.n ** 3 - 1}\)$"):
+        satisfies_identity(g, ident)
 
 
 # --- named variety predicates --------------------------------------------------
