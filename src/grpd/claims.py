@@ -231,8 +231,12 @@ def _sh_suite(name):
 
 def _separating_congruences(g: Groupoid, x: int, y: int) -> list[Partition]:
     """The nontrivial congruences with x and y in different blocks, finest first."""
-    return [p for p in enumerate_partitions(g.n)
-            if 1 < len(p.blocks) < g.n and not any(x in b and y in b for b in p.blocks) and is_congruence(g, p)]
+    out = []
+    for p in enumerate_partitions(g.n):
+        ids = p.block_ids()
+        if 1 < len(p.blocks) < g.n and ids[x] != ids[y] and is_congruence(g, p):
+            out.append(p)
+    return out
 
 
 def _claim_quotient_g1(get):

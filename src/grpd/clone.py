@@ -201,6 +201,8 @@ def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | No
             return SubsetWitness("subset", frozenset(members.tolist()))
     if n <= WITNESS_PARTITION_MAX_N:
         for p in enumerate_partitions(n):
-            if 1 < len(p.blocks) < n and partition_preserved_by(s_table, p) and not partition_preserved_by(f_table, p):
+            if len(p.blocks) in (1, n):
+                continue
+            if partition_preserved_by(s_table, p) and not partition_preserved_by(f_table, p):
                 return SubsetWitness("partition", p)
     return None

@@ -91,7 +91,7 @@ def term_function(g: Groupoid, t: Term, budget: int = DEFAULT_BUDGET, variables=
     k = len(names)
     if g.n ** k > budget:
         raise GuardError(f"evaluation budget exceeded ({g.n}^{k} > {budget})")
-    arr = gather_term(t, axis_env(names, g.n), g, g.table, {})
+    arr = gather_term(t, axis_env(names, g.n), g, g.table)
     full = np.broadcast_to(arr, (g.n,) * k)
     return OpTable(k, g.n, full.reshape(-1).copy())
 

@@ -191,12 +191,13 @@ def eval_term(t: Term, env: dict, product, cache: dict | None = None):
     return out
 
 
-def gather_term(t: Term, env: dict, g: Groupoid, top: np.ndarray, cache: dict):
+def gather_term(t: Term, env: dict, g: Groupoid, top: np.ndarray, cache: dict | None = None):
     """``t`` over the index arrays of ``env``, spanning only the axes of its
     variables: the top product is gathered from ``top``, proper subterms from
     the int64 ``g.table``, since they index the next gather, through
     ``eval_term`` with ``cache``.  The top is not cached, as its dtype may
-    be too narrow to index a gather."""
+    be too narrow to index a gather.  A cache keeps every proper product
+    subterm's array alive, so pass one only where subterms recur."""
     def product(a, b):
         return g.table[a, b]
 
@@ -226,9 +227,9 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
     lhs before rhs).  More than ``DEFAULT_BUDGET`` assignments (n^v)
     raise GuardError before any work.  Each block of assignments spans
     the trailing variables that fit in ``nonassoc.SLAB_CELLS`` cells, and
-    the leading variables are looped, so memory stays bounded.  The two
-    sides share one subterm cache per block, and their top products are
-    gathered from ``g.narrow_table``.
+    the leading variables are looped, and no subterm is cached, so a
+    block holds a few arrays at a time however deep the terms are.  The
+    top products of both sides are gathered from ``g.narrow_table``.
     """
     variables = ident.variables
     v = len(variables)
@@ -250,9 +251,8 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
     for prefix in itertools.product(range(n), repeat=len(prefix_vars)):
         env = dict(zip(prefix_vars, prefix))
         env.update(suffix_env)
-        cache: dict = {}
-        lhs = gather_term(ident.lhs, env, g, narrow, cache)
-        rhs = gather_term(ident.rhs, env, g, narrow, cache)
+        lhs = gather_term(ident.lhs, env, g, narrow)
+        rhs = gather_term(ident.rhs, env, g, narrow)
         neq = np.broadcast_to(np.not_equal(lhs, rhs), shape)
         if neq.any():
             flat = int(np.argmax(neq.reshape(-1)))

@@ -6,6 +6,7 @@ relational witness search, where they have 2 to 6.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,26 @@ ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
 @example(one_defect_table(257, 256), ASSOCIATIVITY)  # sides 256 and 0 agree in uint8
 def test_identity_check_matches_int64_reference_at_dtype_switch(g, ident):
     assert satisfies_identity(g, ident) == int64_identity_check(g, ident)
+
+
+def test_deep_identity_check_holds_a_few_block_arrays():
+    # x y^128 = x holds on a left-zero band, so all 128 subterms of the one
+    # n^2-cell block are evaluated; at most a few of them may be alive at once
+    n, depth = 64, 128
+    g = groupoid_of(n, np.repeat(np.arange(n), n).reshape(n, n))
+    lhs = var("x")
+    for _ in range(depth):
+        lhs = prod(lhs, var("y"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonassoc, "SLAB_CELLS", n * n)
+        tracemalloc.start()
+        try:
+            holds = satisfies_identity(g, Identity(lhs, var("x")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert holds == (True, None)
+    assert peak < 8 * n * n * np.dtype(np.int64).itemsize
 
 
 @settings(max_examples=60, deadline=None)
