@@ -6,14 +6,7 @@ generated clone, checks variety memberships, and ships a verified
 catalog of reference tables with a claim harness over all of it.
 """
 
-from .bracketings import (
-    catalan,
-    enumerate_bracketings,
-    left_assoc,
-    left_depth_sequence,
-    parse_bracketing,
-    right_assoc,
-)
+from .bracketings import catalan, enumerate_bracketings, left_depth_sequence
 from .catalog import (
     CatalogEntry,
     build_ak,
@@ -36,7 +29,6 @@ from .clone import (
 )
 from .core import (
     Groupoid,
-    Isomorphism,
     Partition,
     SubsetWitness,
     dual,
@@ -50,7 +42,7 @@ from .core import (
     write_groupoid,
 )
 from .errors import GuardError, ParseError
-from .nonassoc import ShReport, check_sh_factor_property, is_minimal_sh, ns_index
+from .nonassoc import ShReport, check_sh_factor_property, ns_index
 from .search import SearchSummary, search_tables
 from .spectrum import (
     OpTable,
@@ -69,7 +61,6 @@ from .terms import (
     in_Cp,
     in_D,
     in_D_cap_A,
-    is_absorption,
     is_left_regular_band,
     is_left_zero,
     is_rect_band,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import GuardError, ParseError
-from .terms import Term, _left_assoc_term, _right_assoc_term, parse_term, prod, var
+from .errors import GuardError
+from .terms import Term, prod, var
 
 CATALAN_MAX_N = 20
 ENUM_MAX_N = 14
@@ -58,16 +58,6 @@ def enumerate_bracketings(n: int) -> list[Term]:
     return list(span(1, n))
 
 
-def left_assoc(n: int) -> Term:
-    """The fully left-nested bracketing (..((x1 x2) x3)..) xn."""
-    return _left_assoc_term(_positions(n))
-
-
-def right_assoc(n: int) -> Term:
-    """The fully right-nested bracketing x1 (x2 (.. (x{n-1} xn)..))."""
-    return _right_assoc_term(_positions(n))
-
-
 def left_depth_sequence(b: Term) -> list[int]:
     """For each leaf in position order, the number of left-child edges
     on its root-to-leaf path."""
@@ -82,12 +72,3 @@ def left_depth_sequence(b: Term) -> list[int]:
 
     walk(b, 0)
     return out
-
-
-def parse_bracketing(text: str) -> Term:
-    """Parse a term and check that its leaves are x1..xn, each once, in order."""
-    tree = parse_term(text)
-    leaves = text.replace("(", " ").replace(")", " ").split()
-    if leaves != _positions(len(leaves)):
-        raise ParseError("positions out of order")
-    return tree

@@ -82,16 +82,10 @@ class _Claim:
     slow: bool = False
 
 
-class _Catalog:
+def _catalog(overrides=None) -> Callable[[str], Groupoid]:
     """Catalog accessor with optional per-name groupoid overrides."""
-
-    def __init__(self, overrides=None):
-        self.overrides = dict(overrides or {})
-
-    def __call__(self, name: str) -> Groupoid:
-        if name in self.overrides:
-            return self.overrides[name]
-        return catalog_get(name).groupoid
+    overrides = dict(overrides or {})
+    return lambda name: overrides[name] if name in overrides else catalog_get(name).groupoid
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +519,7 @@ CLAIMS = _build_claims()
 
 def run_claims(fast: bool = True, overrides=None, stop_on_fail: bool = False) -> list[ClaimResult]:
     """Run the claim ledger; slow claims are reported as skipped in fast mode."""
-    get = _Catalog(overrides)
+    get = _catalog(overrides)
     results = []
     for claim in CLAIMS:
         if fast and claim.slow:

@@ -197,7 +197,7 @@ def _parse_scheme(spec: str):
     try:
         name, n = spec.split(":", 1)
         idents = scheme_identity(name, int(n))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad scheme {spec!r}; use e.g. left_eq_right:4, prefixed_pair:3, nulla:4") from exc
     return idents if isinstance(idents, tuple) else (idents,)
 

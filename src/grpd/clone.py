@@ -25,7 +25,6 @@ from .terms import Term
 
 CLONE_GUARD = 10 ** 5
 WITNESS_SUBSET_MAX_N = 20
-WITNESS_PARTITION_MAX_N = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +185,9 @@ def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | No
     restricted-growth order within one block count.  The one-block
     partition and all-singletons are compatible with every operation,
     so they are skipped.  Returns None when no relation separates the
-    two operations.
+    two operations.  Above ``WITNESS_SUBSET_MAX_N`` elements GuardError
+    is raised at once; above ``core.PARTITION_MAX_N`` (12) it is raised
+    once no subset separates them, since the partitions cannot be scanned.
     """
     n = g.n
     if n > WITNESS_SUBSET_MAX_N:
@@ -199,10 +200,9 @@ def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | No
         members = np.flatnonzero([(mask >> i) & 1 for i in range(n)])
         if _subset_preserved_by(s_table, members) and not _subset_preserved_by(f_table, members):
             return SubsetWitness("subset", frozenset(members.tolist()))
-    if n <= WITNESS_PARTITION_MAX_N:
-        for p in enumerate_partitions(n):
-            if len(p.blocks) in (1, n):
-                continue
-            if partition_preserved_by(s_table, p) and not partition_preserved_by(f_table, p):
-                return SubsetWitness("partition", p)
+    for p in enumerate_partitions(n):
+        if len(p.blocks) in (1, n):
+            continue
+        if partition_preserved_by(s_table, p) and not partition_preserved_by(f_table, p):
+            return SubsetWitness("partition", p)
     return None

@@ -112,20 +112,9 @@ class Partition:
                 ids[x] = k
         return ids
 
-    def is_all_singletons(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
     def __repr__(self):
         inner = " | ".join(",".join(map(str, b)) for b in self.blocks)
         return f"Partition({inner})"
-
-
-@dataclass(frozen=True)
-class Isomorphism:
-    """A product-preserving bijection, possibly onto the dual."""
-
-    mapping: tuple[int, ...]
-    dual: bool = False
 
 
 @dataclass(frozen=True)
@@ -291,25 +280,20 @@ def quotient(g: Groupoid, p: Partition) -> Groupoid:
     return Groupoid(names, table)
 
 
-def find_isomorphism(g1: Groupoid, g2: Groupoid, allow_dual: bool = False) -> Isomorphism | None:
-    """Search for a product-preserving bijection g1 -> g2.
+def find_isomorphism(g1: Groupoid, g2: Groupoid) -> tuple[int, ...] | None:
+    """A product-preserving bijection g1 -> g2 as the tuple of images
+    (``sigma[a * b] = sigma[a] * sigma[b]``), or None if there is none.
 
-    With ``allow_dual`` a bijection onto the dual of g2 is also
-    accepted (flagged in the result).  Brute force over all bijections,
-    guarded at 9 elements.
+    An anti-isomorphism is ``find_isomorphism(g1, dual(g2))``.  Brute
+    force over all bijections, guarded at 9 elements.
     """
     if g1.n > ISO_MAX_N or g2.n > ISO_MAX_N:
         raise GuardError(f"isomorphism search capped at n={ISO_MAX_N}")
     if g1.n != g2.n:
         return None
-    targets = [(g2.table, False)]
-    if allow_dual:
-        targets.append((np.ascontiguousarray(g2.table.T), True))
-    t1 = g1.table
+    t1, t2 = g1.table, g2.table
     for perm in itertools.permutations(range(g1.n)):
         sigma = np.asarray(perm)
-        image = sigma[t1]
-        for t2, is_dual in targets:
-            if np.array_equal(image, t2[np.ix_(sigma, sigma)]):
-                return Isomorphism(tuple(perm), is_dual)
+        if np.array_equal(sigma[t1], t2[np.ix_(sigma, sigma)]):
+            return perm
     return None

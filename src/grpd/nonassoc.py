@@ -71,14 +71,6 @@ def ns_index(g: Groupoid) -> ShReport:
     return ShReport(count, tuple(listed), sh_type, minimal)
 
 
-def is_minimal_sh(g: Groupoid) -> bool:
-    """Does the unique nonassociative triple generate the whole groupoid?"""
-    report = ns_index(g)
-    if report.ns_count != 1:
-        raise ValueError(f"not an SH-groupoid (ns={report.ns_count})")
-    return bool(report.minimal_sh)
-
-
 def check_sh_factor_property(g: Groupoid) -> bool:
     """For the unique defect (a,b,c): whenever a product equals a (b, c),
     one of the factors already equals a (b, c).  Checked exhaustively."""

@@ -19,7 +19,7 @@ import numpy as np
 from .bracketings import _positions, catalan, enumerate_bracketings
 from .core import Groupoid
 from .errors import GuardError
-from .terms import DEFAULT_BUDGET, Term, axis_env, gather_term, satisfies_identity, scheme_identity
+from .terms import DEFAULT_BUDGET, Term, axis_env, gather_term, guard_assignments, satisfies_identity, scheme_identity
 
 SPECTRUM_MAX_N = 10
 ORACLE_MAX_N = 14
@@ -45,14 +45,6 @@ class OpTable:
     def as_array(self) -> np.ndarray:
         return self.entries.reshape((self.base,) * self.arity)
 
-    def __call__(self, *args: int) -> int:
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments")
-        flat = 0
-        for a in args:
-            flat = flat * self.base + a
-        return int(self.entries[flat])
-
     def __eq__(self, other):
         return (
             isinstance(other, OpTable)
@@ -76,21 +68,18 @@ class SpectrumReport:
     values: tuple[int, ...]
     classes: tuple[tuple[tuple[int, ...], ...], ...]
 
-    @property
-    def max_n(self) -> int:
-        return len(self.values)
 
-
-def term_function(g: Groupoid, t: Term, budget: int = DEFAULT_BUDGET, variables=None) -> OpTable:
+def term_function(g: Groupoid, t: Term, variables=None) -> OpTable:
     """Tabulate the term function t induces on g.
 
     Axes follow ``variables``, or the order of first occurrence in t
-    when it is None.
+    when it is None.  More than ``terms.DEFAULT_BUDGET`` assignments
+    (|A|^k for k variables) raise GuardError before any work, as in
+    ``satisfies_identity``.
     """
     names = t.variables if variables is None else tuple(variables)
     k = len(names)
-    if g.n ** k > budget:
-        raise GuardError(f"evaluation budget exceeded ({g.n}^{k} > {budget})")
+    guard_assignments(g.n, k)
     arr = gather_term(t, axis_env(names, g.n), g, g.table)
     full = np.broadcast_to(arr, (g.n,) * k)
     return OpTable(k, g.n, full.reshape(-1).copy())
@@ -103,8 +92,9 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     up to 256 elements, uint16 beyond) and the exact bytes of its full
     evaluation table key a dict of classes, kept in order of first
     occurrence, so two bracketings share a class iff they induce the
-    same function.  If the per-size cost exceeds the budget the report
-    stops at the largest completed size.
+    same function.  If the per-size cost catalan(n)·|A|^n exceeds the
+    budget the report stops at the largest completed size; a budget
+    below |A|, which admits not even s(1), raises GuardError.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -112,6 +102,7 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
         raise ValueError("budget must be >= 1")
     if max_n > SPECTRUM_MAX_N:
         raise GuardError(f"spectrum capped at max_n={SPECTRUM_MAX_N}")
+    guard_assignments(g.n, 1, budget)
     narrow = g.narrow_table
     values = []
     classes = []

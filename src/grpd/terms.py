@@ -214,6 +214,14 @@ def axis_env(names, n: int) -> dict[str, np.ndarray]:
             for i, name in enumerate(names)}
 
 
+def guard_assignments(n: int, k: int, budget: int | None = None) -> None:
+    """Refuse n^k assignments past ``budget``, by default ``DEFAULT_BUDGET``
+    as it is at call time, before any work is done."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if n ** k > budget:
+        raise GuardError(f"evaluation budget exceeded ({n}^{k} > {budget})")
+
+
 def evaluate(t: Term, g: Groupoid, assignment: dict[str, int]) -> int:
     """Evaluate a term by recursive table lookup."""
     return eval_term(t, assignment, g.prod)
@@ -225,19 +233,19 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
     Returns (True, None), or (False, witness) with the lexicographically
     first failing assignment (variables ordered by first occurrence,
     lhs before rhs).  More than ``DEFAULT_BUDGET`` assignments (n^v)
-    raise GuardError before any work.  Each block of assignments spans
-    the trailing variables that fit in ``nonassoc.SLAB_CELLS`` cells, and
-    the leading variables are looped, and no subterm is cached, so a
-    block holds a few arrays at a time however deep the terms are.  The
-    top products of both sides are gathered from ``g.narrow_table``.
+    raise GuardError before any work (``guard_assignments``).  Each
+    block of assignments spans the trailing variables that fit in
+    ``nonassoc.SLAB_CELLS`` cells, and the leading variables are looped,
+    and no subterm is cached, so a block holds a few arrays at a time
+    however deep the terms are.  The top products of both sides are
+    gathered from ``g.narrow_table``.
     """
     variables = ident.variables
     v = len(variables)
     if v > MAX_IDENTITY_VARS:
         raise GuardError(f"identity check capped at {MAX_IDENTITY_VARS} variables")
     n = g.n
-    if n ** v > DEFAULT_BUDGET:
-        raise GuardError(f"evaluation budget exceeded ({n}^{v} > {DEFAULT_BUDGET})")
+    guard_assignments(n, v)
 
     suffix = 0
     while suffix < v and n ** (suffix + 1) <= nonassoc.SLAB_CELLS:
@@ -454,8 +462,3 @@ def scheme_identity(name: str, n: int):
     if name == "nulla":
         return Identity(left, prod(var(xs[0]), _left_assoc_term(xs[1:])))
     raise ValueError(f"unknown scheme {name!r}")
-
-
-def is_absorption(ident: Identity) -> bool:
-    """True iff at least one side is a bare variable (t = x form)."""
-    return ident.lhs.is_var or ident.rhs.is_var

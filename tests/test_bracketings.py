@@ -2,14 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpd.bracketings import (
-    catalan,
-    enumerate_bracketings,
-    left_assoc,
-    left_depth_sequence,
-    parse_bracketing,
-    right_assoc,
-)
+from grpd.bracketings import catalan, enumerate_bracketings, left_depth_sequence
 from grpd.errors import GuardError, ParseError
 from grpd.terms import parse_term, prod, scheme_identity, term_to_string, var
 
@@ -64,17 +57,10 @@ def test_enumeration_distinct():
     assert len(set(trees)) == len(trees) == catalan(7)
 
 
-def test_left_right_assoc():
-    assert term_to_string(left_assoc(3)) == "((x1 x2) x3)"
-    assert term_to_string(right_assoc(3)) == "(x1 (x2 x3))"
-    assert right_assoc(4) == parse_bracketing("(x1 (x2 (x3 x4)))")
-    assert left_assoc(1) == right_assoc(1) == var("x1")
-    assert left_assoc(1).is_var
-
-
 def test_left_depth_left_assoc():
-    assert left_depth_sequence(left_assoc(4)) == [3, 2, 1, 0]
-    assert left_depth_sequence(left_assoc(6)) == [5, 4, 3, 2, 1, 0]
+    assert left_depth_sequence(scheme_identity("left_eq_right", 4).lhs) == [3, 2, 1, 0]
+    assert left_depth_sequence(scheme_identity("left_eq_right", 6).lhs) == [5, 4, 3, 2, 1, 0]
+    assert left_depth_sequence(scheme_identity("left_eq_right", 4).rhs) == [1, 1, 1, 0]
 
 
 def test_left_depth_prefixed_left_assoc():
@@ -84,7 +70,7 @@ def test_left_depth_prefixed_left_assoc():
 
 
 def test_left_depth_b3():
-    b = parse_bracketing("((x1 x2) (x3 x4))")
+    b = parse_term("((x1 x2) (x3 x4))")
     assert left_depth_sequence(b) == [2, 1, 1, 0]
 
 
@@ -107,32 +93,27 @@ def test_left_depth_sequences_distinct():
 def test_string_roundtrip(n, data):
     trees = enumerate_bracketings(n)
     b = trees[data.draw(st.integers(0, len(trees) - 1))]
-    assert parse_bracketing(term_to_string(b)) == b
+    assert parse_term(term_to_string(b)) == b
 
 
 def test_parse_examples():
-    assert parse_bracketing("((x1 x2) x3)") == left_assoc(3)
-    assert parse_bracketing("(x1 (x2 x3))") == parse_term("(x1 (x2 x3))")
-    assert term_to_string(right_assoc(3)) == "(x1 (x2 x3))"
+    ident = scheme_identity("left_eq_right", 3)
+    assert parse_term("((x1 x2) x3)") == ident.lhs
+    assert parse_term("(x1 (x2 x3))") == ident.rhs
+    assert term_to_string(ident.lhs) == "((x1 x2) x3)"
+    assert term_to_string(ident.rhs) == "(x1 (x2 x3))"
+    assert scheme_identity("left_eq_right", 4).rhs == parse_term("(x1 (x2 (x3 x4)))")
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError, match="positions out of order"):
-        parse_bracketing("((x2 x1) x3)")
     with pytest.raises(ParseError, match="unbalanced"):
-        parse_bracketing("((x1 x2) x3")
+        parse_term("((x1 x2) x3")
     with pytest.raises(ParseError):
-        parse_bracketing("(x1 x2) x3)")
-    with pytest.raises(ParseError, match="positions out of order"):
-        parse_bracketing("((x1 x1) x2)")
+        parse_term("(x1 x2) x3)")
     with pytest.raises(ParseError):
-        parse_bracketing("")
-    with pytest.raises(ParseError, match="positions out of order"):
-        parse_bracketing("((x1 x2) x4)")
-    with pytest.raises(ParseError, match="positions out of order"):
-        parse_bracketing("(x0 x1)")
+        parse_term("")
     with pytest.raises(ParseError, match="bad variable name"):
-        parse_bracketing("(x1 X2)")
+        parse_term("(x1 X2)")
 
 
 def test_enumeration_guard():

@@ -230,6 +230,27 @@ def test_spectrum_budget_below_one_exits_2(capsys, g3_file, budget):
     assert err == "error: budget must be >= 1\n"
 
 
+@pytest.mark.parametrize("budget", ["1", "2"])
+def test_spectrum_budget_below_the_carrier_exits_2(capsys, g3_file, budget):
+    code, out, err = run(capsys, "spectrum", g3_file, "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err == f"error: evaluation budget exceeded (3^1 > {budget})\n"
+
+
+def test_spectrum_budget_of_one_size_reports_s1(capsys, g3_file):
+    code, out, err = run(capsys, "spectrum", g3_file, "--budget", "3")
+    assert (code, out, err) == (0, "spectrum: 1\n(budget stopped the computation after n=1)\n", "")
+
+
+def test_clone_witness_past_the_partition_cap_exits_2(capsys, tmp_path):
+    n = 13
+    path = tmp_path / "chain-13.gpd"
+    path.write_text(write_groupoid(Groupoid(tuple(f"e{i}" for i in range(n)), np.minimum.outer(np.arange(n), np.arange(n)))))
+    code, out, err = run(capsys, "clone", str(path), "--witness", "x")
+    assert (code, out) == (2, "")
+    assert err == "error: partition enumeration capped at n=12\n"
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_search_size_below_one_exits_2(capsys, size):
     code, out, err = run(capsys, "search", "--size", size)

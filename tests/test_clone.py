@@ -15,6 +15,7 @@ from grpd.clone import (
     is_trivial_clone,
 )
 from grpd.core import Groupoid, find_isomorphism, parse_groupoid
+from grpd.errors import GuardError
 from grpd.terms import is_left_zero, is_right_zero, parse_term
 
 
@@ -199,6 +200,29 @@ def test_witness_none_for_basic_op_itself():
     g = cat("G1")
     f_op = binary_term_table(g, parse_term("(x y)"))
     assert find_relational_witness(g, f_op) is None
+
+
+def elements(n, table):
+    return Groupoid(tuple(f"e{i}" for i in range(n)), table)
+
+
+def test_witness_partition_pass_refuses_past_the_partition_cap():
+    # every subset is closed under min, so only a partition can separate
+    # the projection x from it: {e0,e2} | {e1} | ... on 12 elements
+    twelve = elements(12, np.minimum.outer(np.arange(12), np.arange(12)))
+    w = find_relational_witness(twelve, binary_term_table(twelve, parse_term("x")))
+    assert w.kind == "partition"
+    assert w.payload.blocks == ((0, 2), (1,)) + tuple((i,) for i in range(3, 12))
+    # the same merge separates them on 13 elements, past the partition scan
+    thirteen = elements(13, np.minimum.outer(np.arange(13), np.arange(13)))
+    with pytest.raises(GuardError, match=r"^partition enumeration capped at n=12$"):
+        find_relational_witness(thirteen, binary_term_table(thirteen, parse_term("x")))
+
+
+def test_witness_subset_past_the_partition_cap():
+    z13 = elements(13, np.add.outer(np.arange(13), np.arange(13)) % 13)
+    w = find_relational_witness(z13, binary_term_table(z13, parse_term("x")))
+    assert w.kind == "subset" and w.payload == frozenset({1})
 
 
 def test_binary_term_table_validates_vars():

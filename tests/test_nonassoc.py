@@ -5,7 +5,7 @@ import pytest
 
 from grpd.catalog import catalog_get, catalog_list
 from grpd.core import Groupoid, dual, parse_groupoid
-from grpd.nonassoc import check_sh_factor_property, is_minimal_sh, ns_index
+from grpd.nonassoc import check_sh_factor_property, ns_index
 from grpd.terms import is_semigroup
 
 
@@ -65,8 +65,8 @@ def test_sh_type_classification():
 
 
 def test_minimal_sh_g3_g6():
-    assert is_minimal_sh(cat("G3"))
-    assert is_minimal_sh(cat("G6"))
+    assert ns_index(cat("G3")).minimal_sh is True
+    assert ns_index(cat("G6")).minimal_sh is True
 
 
 def test_minimal_sh_fails_with_absorbing_extension():
@@ -79,12 +79,11 @@ def test_minimal_sh_fails_with_absorbing_extension():
     ext = Groupoid(g.names + ("z",), table)
     rep = ns_index(ext)
     assert rep.ns_count == 1
-    assert not is_minimal_sh(ext)
+    assert rep.minimal_sh is False
 
 
 def test_minimal_sh_requires_sh():
-    with pytest.raises(ValueError, match="not an SH-groupoid"):
-        is_minimal_sh(LEFT_ZERO)
+    assert ns_index(LEFT_ZERO).minimal_sh is None
     with pytest.raises(ValueError, match="not an SH-groupoid"):
         check_sh_factor_property(cat("chain-3"))
 

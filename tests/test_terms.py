@@ -9,6 +9,7 @@ from grpd import claims, cli, terms
 from grpd.catalog import catalog_get, catalog_list
 from grpd.core import Groupoid, dual, parse_groupoid
 from grpd.errors import GuardError, ParseError
+from grpd.spectrum import term_function
 from grpd.terms import (
     MAX_TERM_DEPTH,
     Identity,
@@ -18,7 +19,6 @@ from grpd.terms import (
     in_Cp,
     in_D,
     in_D_cap_A,
-    is_absorption,
     is_left_regular_band,
     is_left_zero,
     is_rect_band,
@@ -149,6 +149,21 @@ def test_identity_check_budget_admits_exactly_n_to_the_v(monkeypatch):
     monkeypatch.setattr(terms, "DEFAULT_BUDGET", g.n ** 3 - 1)
     with pytest.raises(GuardError, match=rf"^evaluation budget exceeded \({g.n}\^3 > {g.n ** 3 - 1}\)$"):
         satisfies_identity(g, ident)
+
+
+def test_term_function_and_identity_check_share_the_budget_boundary(monkeypatch):
+    g = cat("G3")
+    ident = parse_identity("((x y) z) = (x (y z))")
+    monkeypatch.setattr(terms, "DEFAULT_BUDGET", g.n ** 3)
+    assert term_function(g, ident.lhs).entries.size == g.n ** 3
+    assert satisfies_identity(g, ident)[0] is False
+    monkeypatch.setattr(terms, "DEFAULT_BUDGET", g.n ** 3 - 1)
+    messages = []
+    for run in (lambda: term_function(g, ident.lhs), lambda: satisfies_identity(g, ident)):
+        with pytest.raises(GuardError) as info:
+            run()
+        messages.append(str(info.value))
+    assert messages == [f"evaluation budget exceeded ({g.n}^3 > {g.n ** 3 - 1})"] * 2
 
 
 # --- named variety predicates --------------------------------------------------
@@ -332,14 +347,6 @@ def test_scheme_guard():
     assert len(pair_[0].variables) == MAX_TERM_DEPTH + 1
     with pytest.raises(GuardError, match="capped at n = 256"):
         scheme_identity("nulla", MAX_TERM_DEPTH + 1)
-
-
-# --- absorption ---------------------------------------------------------------
-
-def test_is_absorption():
-    assert is_absorption(parse_identity("(x (x y)) = x"))
-    assert is_absorption(parse_identity("x = x"))
-    assert not is_absorption(parse_identity("(x y) = (y x)"))
 
 
 # --- term depth cap -----------------------------------------------------------
