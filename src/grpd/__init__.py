@@ -32,9 +32,9 @@ from .core import (
     Partition,
     SubsetWitness,
     dual,
-    enumerate_partitions,
     find_isomorphism,
     generate_subuniverse,
+    generated_congruence,
     is_congruence,
     is_idempotent,
     parse_groupoid,

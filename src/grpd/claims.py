@@ -13,6 +13,7 @@ mutation-sensitivity test injects corrupted tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 from .bracketings import catalan, enumerate_bracketings
@@ -30,8 +31,8 @@ from .core import (
     Groupoid,
     Partition,
     dual,
-    enumerate_partitions,
     find_isomorphism,
+    generated_congruence,
     is_congruence,
     is_idempotent,
     parse_groupoid,
@@ -224,13 +225,18 @@ def _sh_suite(name):
 
 
 def _separating_congruences(g: Groupoid, x: int, y: int) -> list[Partition]:
-    """The nontrivial congruences with x and y in different blocks, finest first."""
-    out = []
-    for p in enumerate_partitions(g.n):
-        ids = p.block_ids()
-        if 1 < len(p.blocks) < g.n and ids[x] != ids[y] and is_congruence(g, p):
-            out.append(p)
-    return out
+    """The nontrivial congruences with x and y in different blocks, finest
+    first and in restricted-growth order within one block count.  Each is
+    a join of principal congruences, so joining on Cg(a, b) for the first
+    members a, b of two blocks, from the finest one up, reaches them all."""
+    found: set[Partition] = set()
+    frontier = {Partition(tuple((a,) for a in range(g.n)))}
+    while frontier:
+        found |= frontier
+        frontier = {generated_congruence(g.table, [(b[0], c) for b in p.blocks for c in b[1:]] + [(b1[0], b2[0])])
+                    for p in frontier for b1, b2 in combinations(p.blocks, 2)} - found
+    separating = [p for p in found if 1 < len(p.blocks) < g.n and p.block_ids()[x] != p.block_ids()[y]]
+    return sorted(separating, key=lambda p: (-len(p.blocks), p.block_ids()))
 
 
 def _claim_quotient_g1(get):

@@ -15,16 +15,17 @@ prove minimality (higher-arity generators are never examined).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .core import Groupoid, SubsetWitness, enumerate_partitions, partition_preserved_by
+from .core import Groupoid, SubsetWitness, generate_subuniverse, generated_congruence, partition_preserved_by
 from .errors import GuardError
 from .spectrum import OpTable, term_function
 from .terms import Term
 
-CLONE_GUARD = 10 ** 5
-WITNESS_SUBSET_MAX_N = 20
+CLONE_GUARD = 2048
+WITNESS_MAX_N = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,37 +173,29 @@ def binary_term_table(g: Groupoid, term: Term) -> OpTable:
     return term_function(g, term, variables=("x", "y"))
 
 
-def _subset_preserved_by(table: np.ndarray, members: np.ndarray) -> bool:
-    sub = table[np.ix_(members, members)]
-    return bool(np.isin(sub, members).all())
-
-
 def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | None:
     """First relation preserved by the suspect but not by the basic op.
 
-    Subsets are scanned in ascending bitmask order, then partitions in
-    one pass over ``enumerate_partitions``: finest first, in
-    restricted-growth order within one block count.  The one-block
-    partition and all-singletons are compatible with every operation,
-    so they are skipped.  Returns None when no relation separates the
-    two operations.  Above ``WITNESS_SUBSET_MAX_N`` elements GuardError
-    is raised at once; above ``core.PARTITION_MAX_N`` (12) it is raised
-    once no subset separates them, since the partitions cannot be scanned.
+    Subsets are ordered by bitmask, then partitions by block count (most
+    first) and restricted-growth string.  The first witness is generated
+    by one pair: a witness S holds a, b with a*b outside S, so <a, b>
+    inside S is one too; a partition witness is the join of the suspect's
+    Cg(a, b) below it, and the basic op's congruences are closed under
+    joins, so one of those is a witness with as many blocks or more.
+    None means no relation separates them; GuardError past WITNESS_MAX_N.
     """
     n = g.n
-    if n > WITNESS_SUBSET_MAX_N:
-        raise GuardError(f"witness search capped at n={WITNESS_SUBSET_MAX_N}")
+    if n > WITNESS_MAX_N:
+        raise GuardError(f"witness search capped at n={WITNESS_MAX_N}")
     if suspect.arity != 2 or suspect.base != n:
         raise ValueError("suspect must be a binary op on the same carrier")
-    s_table = suspect.as_array()
-    f_table = g.table
-    for mask in range(1, 1 << n):
-        members = np.flatnonzero([(mask >> i) & 1 for i in range(n)])
-        if _subset_preserved_by(s_table, members) and not _subset_preserved_by(f_table, members):
-            return SubsetWitness("subset", frozenset(members.tolist()))
-    for p in enumerate_partitions(n):
-        if len(p.blocks) in (1, n):
-            continue
-        if partition_preserved_by(s_table, p) and not partition_preserved_by(f_table, p):
-            return SubsetWitness("partition", p)
+    s_groupoid = Groupoid(g.names, suspect.as_array())
+    subsets = {generate_subuniverse(s_groupoid, {a, b}) for a, b in combinations_with_replacement(range(n), 2)}
+    subsets = [s for s in subsets if not set(g.table[np.ix_(list(s), list(s))].flat) <= s]
+    if subsets:
+        return SubsetWitness("subset", min(subsets, key=lambda s: sum(1 << i for i in s)))
+    partitions = [generated_congruence(s_groupoid.table, [pair]) for pair in combinations(range(n), 2)]
+    partitions = [p for p in partitions if not partition_preserved_by(g.table, p)]
+    if partitions:
+        return SubsetWitness("partition", min(partitions, key=lambda p: (-len(p.blocks), p.block_ids())))
     return None

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import GuardError, ParseError
 
-PARTITION_MAX_N = 12  # Bell(12) ~ 4.2e6
-ISO_MAX_N = 9         # 9! = 362880 bijections
+ISO_MAX_N = 9  # 9! = 362880 bijections
 
 
 @dataclass(frozen=True)
@@ -208,38 +207,22 @@ def generate_subuniverse(g: Groupoid, seeds) -> frozenset[int]:
     return frozenset(closed)
 
 
-def enumerate_partitions(n: int):
-    """Yield every partition of {0,..,n-1} exactly once, finest first.
+def generated_congruence(table: np.ndarray, pairs) -> Partition:
+    """The finest partition that contains ``pairs`` and that ``table`` preserves.
 
-    Block counts run from n (all singletons) down to 1 (one block);
-    within one count the partitions follow their restricted-growth
-    strings in lexicographic order.  Each count is built directly, never
-    filtered from the others, so the whole enumeration costs Bell(n).
+    Blocks are labelled by their least members and merge, each merge
+    forced, until every element's row and column of labels match its
+    block's first member's: the check of ``partition_preserved_by``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > PARTITION_MAX_N:
-        raise GuardError(f"partition enumeration capped at n={PARTITION_MAX_N}")
-
-    def rec(rgs, maxid, nblocks):
-        if len(rgs) == n:
-            blocks = [[] for _ in range(nblocks)]
-            for x, b in enumerate(rgs):
-                blocks[b].append(x)
-            yield Partition(tuple(tuple(b) for b in blocks))
-            return
-        # an old block only while enough elements remain to open the rest
-        for b in range(maxid + 1 if n - len(rgs) > nblocks - 1 - maxid else 0):
-            rgs.append(b)
-            yield from rec(rgs, maxid, nblocks)
-            rgs.pop()
-        if maxid + 1 < nblocks:
-            rgs.append(maxid + 1)
-            yield from rec(rgs, maxid + 1, nblocks)
-            rgs.pop()
-
-    for nblocks in range(n, 0, -1):
-        yield from rec([0], 0, nblocks)
+    ids = np.arange(len(table))
+    pending = set(pairs)
+    while pending:
+        for a, b in pending:
+            low, high = sorted((ids[a], ids[b]))
+            ids[ids == high] = low
+        t = ids[table]
+        pending = {pair for first in (t[ids], t[:, ids]) for pair in zip(t[t != first].tolist(), first[t != first].tolist())}
+    return Partition(tuple(tuple(np.flatnonzero(ids == label).tolist()) for label in np.unique(ids)))
 
 
 def partition_preserved_by(table: np.ndarray, p: Partition) -> bool:

@@ -23,7 +23,6 @@ from grpd.core import (
     Groupoid,
     Partition,
     dual,
-    enumerate_partitions,
     find_isomorphism,
     is_congruence,
     quotient,
@@ -40,6 +39,8 @@ from grpd.terms import (
     satisfies_identity,
     scheme_identity,
 )
+
+from partitions import all_partitions
 
 SPECTRUM_BUDGET = 2 * 10 ** 8
 
@@ -113,7 +114,7 @@ def test_criterion_05_sh_suite():
 
 def _separating_congruences(g, x, y):
     out = []
-    for p in enumerate_partitions(g.n):
+    for p in all_partitions(g.n):
         if len(p.blocks) in (1, p.n):
             continue
         ids = p.block_ids()

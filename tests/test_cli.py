@@ -242,13 +242,28 @@ def test_spectrum_budget_of_one_size_reports_s1(capsys, g3_file):
     assert (code, out, err) == (0, "spectrum: 1\n(budget stopped the computation after n=1)\n", "")
 
 
-def test_clone_witness_past_the_partition_cap_exits_2(capsys, tmp_path):
-    n = 13
-    path = tmp_path / "chain-13.gpd"
-    path.write_text(write_groupoid(Groupoid(tuple(f"e{i}" for i in range(n)), np.minimum.outer(np.arange(n), np.arange(n)))))
-    code, out, err = run(capsys, "clone", str(path), "--witness", "x")
-    assert (code, out) == (2, "")
-    assert err == "error: partition enumeration capped at n=12\n"
+def test_clone_witness_on_long_chains_answers_up_to_the_witness_cap(capsys, tmp_path):
+    for n in (13, 20, 21):
+        path = tmp_path / f"chain-{n}.gpd"
+        path.write_text(write_groupoid(Groupoid(tuple(f"e{i}" for i in range(n)), np.minimum.outer(np.arange(n), np.arange(n)))))
+        code, out, err = run(capsys, "clone", str(path), "--witness", "x")
+        if n <= 20:
+            blocks = " | ".join(["{e0,e2}", "{e1}"] + [f"{{e{i}}}" for i in range(3, n)])
+            assert (code, err) == (0, "")
+            assert out.endswith(f"partition preserved by x but not by the product: {blocks}\n")
+        else:
+            assert (code, out, err) == (2, "", "error: witness search capped at n=20\n")
+
+
+def test_clone_past_the_closure_guard_exits_2(capsys, tmp_path):
+    # the binary clone of this 3-element table has more than 2,048 ops;
+    # the largest in the catalog has 10
+    path = tmp_path / "wide-clone.gpd"
+    path.write_text("a b c\nb c a\nc c a\nb c b\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "clone", str(path))
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (2, "", "error: binary clone closure exceeded 2048 operations\n")
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])

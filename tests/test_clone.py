@@ -206,17 +206,35 @@ def elements(n, table):
     return Groupoid(tuple(f"e{i}" for i in range(n)), table)
 
 
-def test_witness_partition_pass_refuses_past_the_partition_cap():
+def min_chain(n):
+    return elements(n, np.minimum.outer(np.arange(n), np.arange(n)))
+
+
+def test_witness_partition_pass_answers_up_to_the_witness_cap():
     # every subset is closed under min, so only a partition can separate
-    # the projection x from it: {e0,e2} | {e1} | ... on 12 elements
-    twelve = elements(12, np.minimum.outer(np.arange(12), np.arange(12)))
-    w = find_relational_witness(twelve, binary_term_table(twelve, parse_term("x")))
-    assert w.kind == "partition"
-    assert w.payload.blocks == ((0, 2), (1,)) + tuple((i,) for i in range(3, 12))
-    # the same merge separates them on 13 elements, past the partition scan
-    thirteen = elements(13, np.minimum.outer(np.arange(13), np.arange(13)))
-    with pytest.raises(GuardError, match=r"^partition enumeration capped at n=12$"):
-        find_relational_witness(thirteen, binary_term_table(thirteen, parse_term("x")))
+    # the projection x from it: {e0,e2} | {e1} | ... on 12 to 20 elements
+    for n in (12, 13, 20):
+        chain = min_chain(n)
+        w = find_relational_witness(chain, binary_term_table(chain, parse_term("x")))
+        assert w.kind == "partition"
+        assert w.payload.blocks == ((0, 2), (1,)) + tuple((i,) for i in range(3, n))
+    chain = min_chain(21)
+    with pytest.raises(GuardError, match=r"^witness search capped at n=20$"):
+        find_relational_witness(chain, binary_term_table(chain, parse_term("x")))
+
+
+def test_witness_search_generates_one_relation_per_pair(monkeypatch):
+    calls = {"generate_subuniverse": 0, "generated_congruence": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(clone, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(clone, name, counted)
+    n = 20
+    chain = min_chain(n)
+    assert find_relational_witness(chain, binary_term_table(chain, parse_term("x"))).kind == "partition"
+    assert calls["generate_subuniverse"] <= n * (n + 1) // 2
+    assert calls["generated_congruence"] <= n * (n - 1) // 2
 
 
 def test_witness_subset_past_the_partition_cap():

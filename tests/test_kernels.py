@@ -1,8 +1,9 @@
 """Property tests: each shared kernel against a brute force it must agree with.
 
 Tables are random, of size 1 to 5, idempotent or not, except at the
-narrow-dtype switch, where they have 255 to 300 elements, and in the
-relational witness search, where they have 2 to 6.
+narrow-dtype switch, where they have 255 to 300 elements, for the
+congruence generators, where they have 1 to 6, and in the relational
+witness search, where they have 2 to 6.
 """
 
 import itertools
@@ -14,15 +15,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grpd.bracketings import enumerate_bracketings
-from grpd import clone, nonassoc, search
+from grpd import claims, clone, nonassoc, search
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness
-from grpd.core import Groupoid, Partition, SubsetWitness, dual, find_isomorphism, generate_subuniverse, partition_preserved_by
+from grpd.core import (
+    Groupoid, SubsetWitness, dual, find_isomorphism, generate_subuniverse, generated_congruence, partition_preserved_by,
+)
 from grpd.errors import GuardError
 from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
 from grpd.search import CHECKS, search_tables
 from grpd.spectrum import spectrum, term_function
 from grpd.terms import Identity, eval_term, evaluate, is_semigroup, parse_identity, prod, satisfies_identity, var
+
+from partitions import all_partitions, partition_of
 
 
 def groupoid_of(size, cells):
@@ -259,14 +264,6 @@ def test_binary_term_table_matches_pointwise(g, term):
         assert op[x, y] == evaluate(term, g, {"x": x, "y": y})
 
 
-def partition_of(labels):
-    """The partition of range(len(labels)) whose blocks are the elements with equal labels."""
-    blocks = {}
-    for x, label in enumerate(labels):
-        blocks.setdefault(label, []).append(x)
-    return Partition(tuple(map(tuple, blocks.values())))
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
@@ -277,6 +274,39 @@ def test_partition_compatibility_matches_pairwise(case):
     pairs = [(a, b) for a, b in itertools.product(range(g.n), repeat=2) if ids[a] == ids[b]]
     want = all(ids[g.prod(a, b)] == ids[g.prod(a2, b2)] for a, a2 in pairs for b, b2 in pairs)
     assert partition_preserved_by(g.table, p) == want
+
+
+def finer(p, q):
+    """Is every block of p inside a block of q?"""
+    ids = q.block_ids()
+    return all(len({ids[x] for x in b}) == 1 for b in p.blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))))
+def test_generated_congruence_is_the_finest_preserved_partition_holding_the_pairs(case):
+    g, pairs = case
+    theta = generated_congruence(g.table, pairs)
+    ids = theta.block_ids()
+    assert all(ids[a] == ids[b] for a, b in pairs)
+    assert partition_preserved_by(g.table, theta)
+    for p in all_partitions(g.n):
+        p_ids = p.block_ids()
+        if partition_preserved_by(g.table, p) and all(p_ids[a] == p_ids[b] for a, b in pairs):
+            assert finer(theta, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
+    st.integers(0, n - 1), st.integers(0, n - 1))))
+def test_separating_congruences_match_the_filtered_partitions(case):
+    g, x, y = case
+    want = [p for p in all_partitions(g.n)
+            if 1 < len(p.blocks) < g.n and p.block_ids()[x] != p.block_ids()[y] and partition_preserved_by(g.table, p)]
+    assert claims._separating_congruences(g, x, y) == want
 
 
 def replaced_relational_witness(g, suspect):
