@@ -27,12 +27,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n - 2, n - 1) // n
 
 
-def _positions(n: int) -> list[str]:
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    return [f"x{i}" for i in range(1, n + 1)]
-
-
 def enumerate_bracketings(n: int) -> list[Term]:
     """All bracketings of size n in a fixed deterministic order.
 

@@ -39,6 +39,7 @@ from .core import (
     quotient,
     write_groupoid,
 )
+from .errors import GuardError
 from .nonassoc import check_sh_factor_property, ns_index
 from .search import all_tables, search_tables
 from .spectrum import nulla_satisfied, spectrum, spectrum_ak_oracle
@@ -63,6 +64,7 @@ from .terms import (
 )
 
 SPECTRUM_CLAIM_BUDGET = 2 * 10 ** 8  # criterion-sized; the CLI default stays 1e8
+CONGRUENCE_CAP = 256  # congruences one separating search builds; G1 and G6 have at most 35
 
 B1_EQ_B2 = variety("name", "A").identities[0]
 
@@ -228,11 +230,14 @@ def _separating_congruences(g: Groupoid, x: int, y: int) -> list[Partition]:
     """The nontrivial congruences with x and y in different blocks, finest
     first and in restricted-growth order within one block count.  Each is
     a join of principal congruences, so joining on Cg(a, b) for the first
-    members a, b of two blocks, from the finest one up, reaches them all."""
+    members a, b of two blocks, from the finest one up, reaches them all.
+    Past ``CONGRUENCE_CAP`` congruences it raises GuardError."""
     found: set[Partition] = set()
     frontier = {Partition(tuple((a,) for a in range(g.n)))}
     while frontier:
         found |= frontier
+        if len(found) > CONGRUENCE_CAP:
+            raise GuardError(f"congruence search capped at {CONGRUENCE_CAP} congruences")
         frontier = {generated_congruence(g.table, [(b[0], c) for b in p.blocks for c in b[1:]] + [(b1[0], b2[0])])
                     for p in frontier for b1, b2 in combinations(p.blocks, 2)} - found
     separating = [p for p in found if 1 < len(p.blocks) < g.n and p.block_ids()[x] != p.block_ids()[y]]

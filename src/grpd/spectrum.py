@@ -2,12 +2,11 @@
 
 s(n) counts the distinct n-ary term functions arising from the C(n-1)
 bracketings of x1*...*xn.  ``term_function`` tabulates any term over
-the whole tuple space with numpy broadcasting, one axis per variable;
-the spectrum evaluates the bracketings of one size the same way,
-sharing their proper subterms.  Equal-function classes are keyed by
-the exact bytes of each evaluation table, whose root is gathered in the
-smallest unsigned dtype that holds n-1, so two distinct functions never
-share a key on any carrier.
+the whole tuple space with numpy broadcasting, one axis per variable.
+The spectrum composes the functions of smaller sizes instead (Csákány
+& Waldhauser, "Associative spectra of binary operations", 2000), keyed
+by the exact bytes of each table, gathered in the smallest unsigned
+dtype that holds |A|-1, so two distinct functions never share a key.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracketings import _positions, catalan, enumerate_bracketings
+from .bracketings import catalan
 from .core import Groupoid
 from .errors import GuardError
 from .terms import DEFAULT_BUDGET, Term, axis_env, gather_term, guard_assignments, satisfies_identity, scheme_identity
@@ -86,15 +85,17 @@ def term_function(g: Groupoid, t: Term, variables=None) -> OpTable:
 
 
 def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumReport:
-    """Compute s(1)..s(max_n) by brute-force function deduplication.
+    """Compute s(1)..s(max_n) by composing the classes of smaller sizes.
 
-    Each bracketing's root is gathered from ``g.narrow_table`` (uint8
-    up to 256 elements, uint16 beyond) and the exact bytes of its full
-    evaluation table key a dict of classes, kept in order of first
-    occurrence, so two bracketings share a class iff they induce the
-    same function.  If the per-size cost catalan(n)·|A|^n exceeds the
-    budget the report stops at the largest completed size; a budget
-    below |A|, which admits not even s(1), raises GuardError.
+    The classes of size m are the distinct products narrow[P ⊗ Q] of a
+    class P of size k and a class Q of size m-k, keyed by their exact
+    bytes in the dtype of ``g.narrow_table`` (uint8 up to 256 elements,
+    uint16 beyond).  Pairs are visited by split, P and Q, the order of
+    their first bracketings, so classes stay in order of first
+    occurrence, and each bracketing's class is read through its
+    factors' classes.  If catalan(n)·|A|^n exceeds the budget the report
+    stops at the largest completed size; a budget below |A|, which
+    admits not even s(1), raises GuardError.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -104,20 +105,30 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
         raise GuardError(f"spectrum capped at max_n={SPECTRUM_MAX_N}")
     guard_assignments(g.n, 1, budget)
     narrow = g.narrow_table
-    values = []
-    classes = []
-    for n in range(1, max_n + 1):
-        if catalan(n) * g.n ** n > budget:
+    found = [[np.arange(g.n, dtype=narrow.dtype).tobytes()]]  # found[m-1]: each class's table bytes
+    ids = [np.zeros(1, dtype=np.intp)]  # ids[m-1]: each bracketing's class
+    for m in range(2, max_n + 1):
+        if catalan(m) * g.n ** m > budget:
             break
-        env = axis_env(_positions(n), g.n)
-        cache: dict = {}
-        members: dict[bytes, list[int]] = {}  # table bytes -> bracketing indices
-        for idx, b in enumerate(enumerate_bracketings(n)):
-            data = gather_term(b, env, g, narrow, cache).tobytes()  # spans all n axes
-            members.setdefault(data, []).append(idx)
-        values.append(len(members))
-        classes.append(tuple(tuple(m) for m in members.values()))
-    return SpectrumReport(tuple(values), tuple(classes))
+        level: dict[bytes, int] = {}
+        split_ids = []
+        for k in range(1, m):
+            pair_class = np.empty((len(found[k - 1]), len(found[m - k - 1])), dtype=np.intp)
+            for i, p in enumerate(found[k - 1]):
+                p = np.frombuffer(p, narrow.dtype)
+                for j, q in enumerate(found[m - k - 1]):
+                    q = np.frombuffer(q, narrow.dtype)
+                    # the shorter operand's axis first; the 2-D narrow[p[:, None], q] is several times slower
+                    table = narrow[p].take(q, axis=1) if len(p) <= len(q) else narrow[:, q][p]
+                    pair_class[i, j] = level.setdefault(table.tobytes(), len(level))
+            split_ids.append(pair_class[ids[k - 1][:, None], ids[m - k - 1]].reshape(-1))
+        found.append(list(level))
+        ids.append(np.concatenate(split_ids))
+    classes = []
+    for c in ids:
+        members = np.split(np.argsort(c, kind="stable"), np.cumsum(np.bincount(c))[:-1])
+        classes.append(tuple(tuple(m.tolist()) for m in members))
+    return SpectrumReport(tuple(map(len, found)), tuple(classes))
 
 
 def spectrum_ak_oracle(k: int, max_n: int) -> list[int]:

@@ -169,41 +169,30 @@ def parse_identity(text: str) -> Identity:
 # evaluation
 
 
-def eval_term(t: Term, env: dict, product, cache: dict | None = None):
+def eval_term(t: Term, env: dict, product):
     """Evaluate a term, combining subterm values with ``product(left, right)``.
 
     The values may be element indices, broadcastable index arrays or
     whole table columns; ``product`` decides how two of them multiply.
-    Given a ``cache``, each product subterm is evaluated once and kept
-    there, so it must only be shared by evaluations over the same ``env``.
     """
     if t.is_var:
         try:
             return env[t.name]
         except KeyError:
             raise ValueError(f"unbound variable {t.name!r}") from None
-    if cache is None:
-        return product(eval_term(t.left, env, product), eval_term(t.right, env, product))
-    out = cache.get(t)
-    if out is None:
-        out = cache[t] = product(eval_term(t.left, env, product, cache),
-                                 eval_term(t.right, env, product, cache))
-    return out
+    return product(eval_term(t.left, env, product), eval_term(t.right, env, product))
 
 
-def gather_term(t: Term, env: dict, g: Groupoid, top: np.ndarray, cache: dict | None = None):
+def gather_term(t: Term, env: dict, g: Groupoid, top: np.ndarray):
     """``t`` over the index arrays of ``env``, spanning only the axes of its
     variables: the top product is gathered from ``top``, proper subterms from
-    the int64 ``g.table``, since they index the next gather, through
-    ``eval_term`` with ``cache``.  The top is not cached, as its dtype may
-    be too narrow to index a gather.  A cache keeps every proper product
-    subterm's array alive, so pass one only where subterms recur."""
+    the int64 ``g.table``, since they index the next gather."""
     def product(a, b):
         return g.table[a, b]
 
     if t.is_var:
         return eval_term(t, env, product)
-    return top[eval_term(t.left, env, product, cache), eval_term(t.right, env, product, cache)]
+    return top[eval_term(t.left, env, product), eval_term(t.right, env, product)]
 
 
 def axis_env(names, n: int) -> dict[str, np.ndarray]:

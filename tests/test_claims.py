@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grpd.catalog import catalog_get
-from grpd.claims import CLAIMS, run_claims
+from grpd.claims import CLAIMS, CONGRUENCE_CAP, run_claims
 from grpd.core import Groupoid, dual
 
 
@@ -56,3 +56,13 @@ def test_stop_on_fail_short_circuits():
     results = run_claims(fast=True, overrides={"G3": mutant, "G3d": dual(mutant)}, stop_on_fail=True)
     assert results[-1].status == "fail"
     assert len(results) < len(CLAIMS)
+
+
+def test_congruence_rich_override_fails_at_the_congruence_cap():
+    # on the left zero semigroup x*y = x every partition is a congruence (4,140 on 8 elements)
+    g6 = catalog_get("G6").groupoid
+    left_zero = Groupoid(g6.names, np.repeat(np.arange(g6.n)[:, None], g6.n, axis=1))
+    results = run_claims(fast=True, overrides={"G6": left_zero, "G6d": dual(left_zero)})
+    by_id = {r.claim_id: r for r in results}
+    assert by_id["quotient-G6-four"].status == "fail"
+    assert by_id["quotient-G6-four"].detail == f"error: congruence search capped at {CONGRUENCE_CAP} congruences"

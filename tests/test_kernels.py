@@ -2,8 +2,10 @@
 
 Tables are random, of size 1 to 5, idempotent or not, except at the
 narrow-dtype switch, where they have 255 to 300 elements, for the
-congruence generators, where they have 1 to 6, and in the relational
-witness search, where they have 2 to 6.
+congruence generators, where they have 1 to 6, in the relational
+witness search, where they have 2 to 6, and for the spectrum up to
+n=6, where they have 1 to 3 elements or are semigroups of up to 4
+elements with one or two cells rewritten.
 """
 
 import itertools
@@ -14,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grpd.bracketings import enumerate_bracketings
 from grpd import claims, clone, nonassoc, search
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness
@@ -24,9 +25,10 @@ from grpd.core import (
 from grpd.errors import GuardError
 from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
 from grpd.search import CHECKS, search_tables
-from grpd.spectrum import spectrum, term_function
+from grpd.spectrum import spectrum
 from grpd.terms import Identity, eval_term, evaluate, is_semigroup, parse_identity, prod, satisfies_identity, var
 
+from brute import spectrum_classes
 from partitions import all_partitions, partition_of
 
 
@@ -34,11 +36,15 @@ def groupoid_of(size, cells):
     return Groupoid(tuple(str(i) for i in range(size)), np.array(cells).reshape(size, size))
 
 
-tables = st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
-        lambda cells: groupoid_of(n, cells)
+def tables_up_to(size):
+    return st.integers(1, size).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
+            lambda cells: groupoid_of(n, cells)
+        )
     )
-)
+
+
+tables = tables_up_to(5)
 
 
 def terms_over(names):
@@ -56,13 +62,46 @@ identities = st.tuples(terms_over("xyz"), terms_over("xyz")).map(lambda sides: I
 @given(tables)
 def test_spectrum_matches_grouping_term_functions(g):
     rep = spectrum(g, 4)
-    assert len(rep.values) == 4
-    for n in range(1, 5):
-        groups: dict[bytes, list[int]] = {}
-        for idx, b in enumerate(enumerate_bracketings(n)):
-            groups.setdefault(term_function(g, b).entries.tobytes(), []).append(idx)
-        assert rep.values[n - 1] == len(groups)
-        assert rep.classes[n - 1] == tuple(tuple(m) for m in groups.values())
+    assert rep.classes == tuple(spectrum_classes(g, n) for n in range(1, 5))
+    assert rep.values == tuple(map(len, rep.classes))
+
+
+def semigroups(size):
+    """Every associative table on {0..size-1}, by a triple loop over all tables."""
+    r = range(size)
+    rows = (tuple(cells[i * size:(i + 1) * size] for i in r) for cells in itertools.product(r, repeat=size * size))
+    return [t for t in rows if all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r)]
+
+
+def _semigroup_pool():
+    # the 1- to 3-element semigroups and the direct products of two 2-element ones
+    two = semigroups(2)
+    products = [[[2 * s[a // 2][b // 2] + u[a % 2][b % 2] for b in range(4)] for a in range(4)] for s in two for u in two]
+    return [t for size in (1, 2, 3) for t in semigroups(size)] + products
+
+
+def rewritten(table, edits):
+    cells = np.array(table)
+    for (a, b), value in edits:
+        cells[a % len(cells), b % len(cells)] = value % len(cells)
+    return groupoid_of(len(cells), cells)
+
+
+# a semigroup with one or two cells rewritten: about half of them have
+# s(6) < C(5) = 42, so composed pairs of one level share classes there
+near_semigroups = st.builds(
+    rewritten,
+    st.deferred(lambda: st.sampled_from(_semigroup_pool())),
+    st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 3)), min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tables_up_to(3), near_semigroups))
+def test_spectrum_composition_matches_brute_force(g):
+    rep = spectrum(g, 6)
+    assert rep.classes == tuple(spectrum_classes(g, n) for n in range(1, 7))
+    assert rep.values == tuple(map(len, rep.classes))
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,6 +18,8 @@ from grpd.spectrum import (
 )
 from grpd.terms import evaluate, is_semigroup, parse_term
 
+from brute import group_bracketings, spectrum_classes
+
 
 def cat(name):
     return catalog_get(name).groupoid
@@ -144,15 +146,13 @@ def repro_257():
 
 
 def test_spectrum_dedup_matches_exact_dedup():
-    # exact oracle: dict keyed by the full int64 table bytes
-    inputs = [(cat(name), range(2, 7)) for name in ("G3", "A2", "propD-F2", "aba-4")]
-    inputs.append((repro_257(), range(2, 4)))
-    for g, sizes in inputs:
-        for n in sizes:
-            exact: dict[bytes, int] = {}
-            for b in enumerate_bracketings(n):
-                exact.setdefault(term_function(g, b).entries.tobytes(), len(exact))
-            assert spectrum(g, n).values[n - 1] == len(exact)
+    # exact oracle: each bracketing's whole int64 table, every catalog entry up to n=6
+    inputs = [(cat(name), 6) for name in catalog_list()]
+    inputs.append((repro_257(), 3))
+    for g, max_n in inputs:
+        rep = spectrum(g, max_n)
+        assert rep.classes == tuple(spectrum_classes(g, n) for n in range(1, max_n + 1))
+        assert rep.values == tuple(map(len, rep.classes))
 
 
 def test_spectrum_above_256_elements_keeps_distinct_functions():
@@ -175,13 +175,9 @@ def test_oracle_matches_brute_force():
         assert tuple(spectrum_ak_oracle(k, 5)) == spectrum(g, 5).values
 
 
-def left_depth_spectrum_classes(n: int, k: int) -> dict[tuple[int, ...], list[int]]:
+def left_depth_spectrum_classes(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Group bracketing indices of size n by mod-k left-depth sequence."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, b in enumerate(enumerate_bracketings(n)):
-        key = tuple(d % k for d in left_depth_sequence(b))
-        groups.setdefault(key, []).append(idx)
-    return groups
+    return group_bracketings(n, lambda b: tuple(d % k for d in left_depth_sequence(b)))
 
 
 def test_oracle_class_structure_matches_brute_force():
@@ -190,9 +186,7 @@ def test_oracle_class_structure_matches_brute_force():
         g = build_ak(k)
         rep = spectrum(g, 5)
         for n in range(2, 6):
-            by_depth = {tuple(sorted(v)) for v in left_depth_spectrum_classes(n, k).values()}
-            by_table = {tuple(sorted(c)) for c in rep.classes[n - 1]}
-            assert by_depth == by_table
+            assert left_depth_spectrum_classes(n, k) == rep.classes[n - 1]
 
 
 def test_nulla_satisfied_examples():
