@@ -99,7 +99,7 @@ def binary_clone_part(g: Groupoid) -> BinaryClonePart:
     """Compute the binary part of Clo(g) with term names for each op."""
     tables, names, key_index = _close_under(g.table, g.n)
     ops = tuple(OpTable(2, g.n, t.reshape(-1)) for t in tables)
-    basic = key_index[np.ascontiguousarray(g.table).tobytes()]
+    basic = key_index[g.table.tobytes()]
     return BinaryClonePart(ops, tuple(names), basic, key_index)
 
 
@@ -131,7 +131,7 @@ def generates_basic(g: Groupoid, h: OpTable) -> bool:
     if h.arity != 2 or h.base != g.n:
         raise ValueError("suspect must be a binary op on the same carrier")
     _, _, key_index = _close_under(h.as_array(), g.n)
-    return np.ascontiguousarray(g.table).tobytes() in key_index
+    return g.table.tobytes() in key_index
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ class Groupoid:
             raise ValueError("groupoid needs at least one element")
         if len(set(names)) != n:
             raise ValueError("element names must be pairwise distinct")
-        table = np.asarray(self.table, dtype=np.int64)
+        table = np.ascontiguousarray(self.table, dtype=np.int64)
         if table.shape != (n, n):
             raise ValueError(f"table must be {n}x{n}, got {table.shape}")
         if table.size and (table.min() < 0 or table.max() >= n):

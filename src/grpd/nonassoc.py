@@ -14,7 +14,12 @@ import numpy as np
 from .core import Groupoid, generate_subuniverse
 
 TRIPLE_LIST_CAP = 1000
-SLAB_CELLS = 1 << 22  # cube cells per slab of rows of a; 1 or 2 bytes each per gathered side
+# Cube cells per block of the table-wide kernels.  A defect slab's two
+# gathered sides (1 or 2 bytes a cell) and its mask take about 1.3 MB, so
+# they stay in a 4 MB L2.  Floor: at least n^2 for every n with n^3 within
+# terms.DEFAULT_BUDGET, so a 3-variable identity check keeps its two
+# trailing variables in one block and loops only the first.
+SLAB_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -35,12 +40,14 @@ class ShReport:
 def defect_slabs(g: Groupoid):
     """Yield (a0, mask) per slab of rows of a: mask[k, b, c] is ((a0+k)b)c != (a0+k)(bc).
 
-    Both sides are gathered from ``g.narrow_table``, 1 or 2 bytes per cell, not 8."""
+    Both sides are ``take`` gathers from ``g.narrow_table``, 1 or 2 bytes per
+    cell, not 8: (ab)c copies whole rows of the table, a(bc) reads each slab
+    row through the table."""
     t = g.narrow_table
     rows = max(1, SLAB_CELLS // (g.n * g.n))
     for a0 in range(0, g.n, rows):
         slab = t[a0:a0 + rows]
-        yield a0, t[slab] != slab[:, t]
+        yield a0, t.take(slab, axis=0) != slab.take(t, axis=1)
 
 
 def _classify(a: int, b: int, c: int) -> str:

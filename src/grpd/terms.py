@@ -186,13 +186,18 @@ def eval_term(t: Term, env: dict, product):
 def gather_term(t: Term, env: dict, g: Groupoid, top: np.ndarray):
     """``t`` over the index arrays of ``env``, spanning only the axes of its
     variables: the top product is gathered from ``top``, proper subterms from
-    the int64 ``g.table``, since they index the next gather."""
+    the int64 ``g.table``, since they index the next gather.  Each product is
+    a ``take`` at the flat index ``a * n + b``; when every factor is a Python
+    int, it is a numpy scalar."""
+    n = g.n
+    flat = g.table.reshape(-1)
+
     def product(a, b):
-        return g.table[a, b]
+        return flat.take(a * n + b)
 
     if t.is_var:
         return eval_term(t, env, product)
-    return top[eval_term(t.left, env, product), eval_term(t.right, env, product)]
+    return top.reshape(-1).take(eval_term(t.left, env, product) * n + eval_term(t.right, env, product))
 
 
 def axis_env(names, n: int) -> dict[str, np.ndarray]:
@@ -224,10 +229,12 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
     lhs before rhs).  More than ``DEFAULT_BUDGET`` assignments (n^v)
     raise GuardError before any work (``guard_assignments``).  Each
     block of assignments spans the trailing variables that fit in
-    ``nonassoc.SLAB_CELLS`` cells, and the leading variables are looped,
-    and no subterm is cached, so a block holds a few arrays at a time
-    however deep the terms are.  The top products of both sides are
-    gathered from ``g.narrow_table``.
+    ``nonassoc.SLAB_CELLS`` cells (the last two of any 3-variable check
+    within the budget), and the leading variables are looped, and no
+    subterm is cached, so a block holds a few arrays at a time however
+    deep the terms are.  Every product is a flat ``take`` gather
+    (``gather_term``); the top products of both sides are gathered from
+    ``g.narrow_table``.
     """
     variables = ident.variables
     v = len(variables)

@@ -266,6 +266,29 @@ def test_clone_past_the_closure_guard_exits_2(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: binary clone closure exceeded 2048 operations\n")
 
 
+def test_clone_witness_runs_past_the_closure_guard(capsys, tmp_path):
+    # the binary clone of this 4-element table has more than 2,048 ops,
+    # yet the subset {a} separates x from the product
+    path = tmp_path / "wide-clone-4.gpd"
+    path.write_text("a b c d\nb c d d\na a d d\na b d b\nb d b b\n")
+    code, out, err = run(capsys, "clone", str(path), "--witness", "x")
+    assert (code, err) == (0, "")
+    assert out == ("binary clone part: over the 2048-operation guard\n"
+                   "subset preserved by x but not by the product: {a}\n")
+    code, out, err = run(capsys, "clone", str(path), "--witness", "x", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"schemaVersion": 1, "size": None, "ops": None, "basicIndex": None,
+                               "witness": {"kind": "subset", "elements": ["a"]}}
+    # the product itself: no relation separates it, so the exit code is 1
+    code, out, err = run(capsys, "clone", str(path), "--witness", "(x y)", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["witness"] is None
+    # the proxy and the f2 table need the closure
+    for flag in ("--proxy", "--f2"):
+        code, out, err = run(capsys, "clone", str(path), "--witness", "x", flag)
+        assert (code, out, err) == (2, "", "error: binary clone closure exceeded 2048 operations\n")
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_search_size_below_one_exits_2(capsys, size):
     code, out, err = run(capsys, "search", "--size", size)

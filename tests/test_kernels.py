@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grpd import claims, clone, nonassoc, search
+from grpd import claims, clone, nonassoc, search, terms
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness
 from grpd.core import (
@@ -229,14 +229,24 @@ def test_identity_check_matches_pointwise(g, ident):
     assert satisfies_identity(g, ident) == pointwise_identity_check(g, ident)
 
 
-@pytest.mark.parametrize("slab_power", [1, 2])
+@pytest.mark.parametrize("slab_power", [0, 1, 2])
 @settings(max_examples=100, deadline=None)
 @given(tables, identities)
 def test_identity_check_in_small_blocks_matches_pointwise(slab_power, g, ident):
-    # blocks of n or n^2 cells, so the leading variables are looped
+    # blocks of 1, n or n^2 cells, so the leading variables are looped; at 1
+    # every variable is, and each product is a scalar
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nonassoc, "SLAB_CELLS", g.n ** slab_power)
         assert satisfies_identity(g, ident) == pointwise_identity_check(g, ident)
+
+
+def test_slab_cells_hold_two_variables_of_every_3_variable_check_in_budget():
+    # n = 464 is the largest carrier with n^3 assignments in budget; a block
+    # below n^2 cells would loop the last two variables, n^2 times in Python
+    n = int(terms.DEFAULT_BUDGET ** (1 / 3)) + 1
+    while n ** 3 > terms.DEFAULT_BUDGET:
+        n -= 1
+    assert n * n <= nonassoc.SLAB_CELLS
 
 
 def int64_identity_check(g, ident):
