@@ -23,7 +23,8 @@ class Groupoid:
     """A finite set with named elements and a multiplication table.
 
     ``table[i, j]`` is the index of (element i) * (element j).
-    Instances are immutable; the table array is marked read-only.
+    Instances are immutable: the table is copied on construction and
+    the copy is marked read-only, so the caller's array stays its own.
     """
 
     names: tuple[str, ...]
@@ -38,7 +39,7 @@ class Groupoid:
             raise ValueError("groupoid needs at least one element")
         if len(set(names)) != n:
             raise ValueError("element names must be pairwise distinct")
-        table = np.ascontiguousarray(self.table, dtype=np.int64)
+        table = np.array(self.table, dtype=np.int64, order="C")
         if table.shape != (n, n):
             raise ValueError(f"table must be {n}x{n}, got {table.shape}")
         if table.size and (table.min() < 0 or table.max() >= n):
@@ -178,7 +179,7 @@ def write_groupoid(g: Groupoid) -> str:
 
 def dual(g: Groupoid) -> Groupoid:
     """The dual groupoid: same elements, arguments swapped (table transposed)."""
-    return Groupoid(g.names, g.table.T.copy())
+    return Groupoid(g.names, g.table.T)
 
 
 def is_idempotent(g: Groupoid) -> bool:

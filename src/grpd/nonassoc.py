@@ -14,11 +14,14 @@ import numpy as np
 from .core import Groupoid, generate_subuniverse
 
 TRIPLE_LIST_CAP = 1000
-# Cube cells per block of the table-wide kernels.  A defect slab's two
-# gathered sides (1 or 2 bytes a cell) and its mask take about 1.3 MB, so
-# they stay in a 4 MB L2.  Floor: at least n^2 for every n with n^3 within
-# terms.DEFAULT_BUDGET, so a 3-variable identity check keeps its two
-# trailing variables in one block and loops only the first.
+# Cube cells per block of the table-wide kernels: the defect census, the
+# identity check and the spectrum's top level, whose slabs hold at most
+# this many cells of each candidate table, or one row of x1 when a row is
+# larger.  A defect slab's two gathered sides (1 or 2 bytes a cell) and
+# its mask take about 1.3 MB, so they stay in a 4 MB L2.  Floor: at least
+# n^2 for every n with n^3 within terms.DEFAULT_BUDGET, so a 3-variable
+# identity check keeps its two trailing variables in one block and loops
+# only the first.
 SLAB_CELLS = 1 << 18
 
 

@@ -4,9 +4,12 @@ s(n) counts the distinct n-ary term functions arising from the C(n-1)
 bracketings of x1*...*xn.  ``term_function`` tabulates any term over
 the whole tuple space with numpy broadcasting, one axis per variable.
 The spectrum composes the functions of smaller sizes instead (Csákány
-& Waldhauser, "Associative spectra of binary operations", 2000), keyed
-by the exact bytes of each table, gathered in the smallest unsigned
-dtype that holds |A|-1, so two distinct functions never share a key.
+& Waldhauser, "Associative spectra of binary operations", 2000),
+compared by their exact bytes in the smallest unsigned dtype that holds
+|A|-1, so two distinct functions never share a class.  Below the
+largest size each class keeps its whole table, the operand of later
+sizes; the largest size refines its classes slab by slab over rows of
+x1 and keeps no table.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracketings import catalan
+from . import nonassoc
 from .core import Groupoid
 from .errors import GuardError
 from .terms import DEFAULT_BUDGET, Term, axis_env, gather_term, guard_assignments, satisfies_identity, scheme_identity
@@ -26,14 +30,16 @@ ORACLE_MAX_N = 14
 
 @dataclass(frozen=True)
 class OpTable:
-    """A tabulated k-ary operation: flat row-major array of length n^k."""
+    """A tabulated k-ary operation: flat row-major array of length n^k.
+
+    The entries are copied on construction and the copy is marked read-only."""
 
     arity: int
     base: int
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.int64).reshape(-1)
+        entries = np.array(self.entries, dtype=np.int64, order="C").reshape(-1)
         if entries.size != self.base ** self.arity:
             raise ValueError("entry count must be base**arity")
         if entries.size and (entries.min() < 0 or entries.max() >= self.base):
@@ -81,21 +87,28 @@ def term_function(g: Groupoid, t: Term, variables=None) -> OpTable:
     guard_assignments(g.n, k)
     arr = gather_term(t, axis_env(names, g.n), g, g.table)
     full = np.broadcast_to(arr, (g.n,) * k)
-    return OpTable(k, g.n, full.reshape(-1).copy())
+    return OpTable(k, g.n, full.reshape(-1))
 
 
 def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumReport:
     """Compute s(1)..s(max_n) by composing the classes of smaller sizes.
 
     The classes of size m are the distinct products narrow[P ⊗ Q] of a
-    class P of size k and a class Q of size m-k, keyed by their exact
+    class P of size k and a class Q of size m-k, compared by their exact
     bytes in the dtype of ``g.narrow_table`` (uint8 up to 256 elements,
-    uint16 beyond).  Pairs are visited by split, P and Q, the order of
-    their first bracketings, so classes stay in order of first
-    occurrence, and each bracketing's class is read through its
-    factors' classes.  If catalan(n)·|A|^n exceeds the budget the report
-    stops at the largest completed size; a budget below |A|, which
-    admits not even s(1), raises GuardError.
+    uint16 beyond).  Sizes stop at the largest m with catalan(m)·|A|^m
+    within the budget; a budget below |A|, which admits not even s(1),
+    raises GuardError.
+
+    Each level refines a partition of its pairs (split, P, Q), visited
+    in the order of their first bracketings, slab by slab over rows of
+    x1: a pair's new label is the first occurrence of (old label, slab
+    bytes), so classes stay in order of first occurrence.  A level below
+    the top is one slab, the whole table, kept as the bytes its products
+    are later composed from.  The top level takes slabs of about
+    ``nonassoc.SLAB_CELLS`` cells, keeps no table and stops once every
+    pair is a class of its own.  Each bracketing's class is read through
+    its factors' classes.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -104,31 +117,44 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     if max_n > SPECTRUM_MAX_N:
         raise GuardError(f"spectrum capped at max_n={SPECTRUM_MAX_N}")
     guard_assignments(g.n, 1, budget)
+    top = 1
+    while top < max_n and catalan(top + 1) * g.n ** (top + 1) <= budget:
+        top += 1
     narrow = g.narrow_table
-    found = [[np.arange(g.n, dtype=narrow.dtype).tobytes()]]  # found[m-1]: each class's table bytes
+    found = [[np.arange(g.n, dtype=narrow.dtype).tobytes()]]  # found[m-1]: each class's table bytes, below the top
     ids = [np.zeros(1, dtype=np.intp)]  # ids[m-1]: each bracketing's class
-    for m in range(2, max_n + 1):
-        if catalan(m) * g.n ** m > budget:
-            break
-        level: dict[bytes, int] = {}
-        split_ids = []
+    for m in range(2, top + 1):
+        pairs = [(g.n ** (k - 1), np.frombuffer(p, narrow.dtype), np.frombuffer(q, narrow.dtype))
+                 for k in range(1, m) for p in found[k - 1] for q in found[m - k - 1]]
+        labels = [0] * len(pairs)
+        rows = max(1, nonassoc.SLAB_CELLS // g.n ** (m - 1)) if m == top else g.n
+        for x0 in range(0, g.n, rows):
+            level: dict[tuple[int, bytes], int] = {}
+            for i, (stride, p, q) in enumerate(pairs):
+                p = p[x0 * stride:(x0 + rows) * stride]
+                # the shorter operand's axis first; the 2-D narrow[p[:, None], q] is several times slower
+                if len(p) <= len(q):
+                    table = narrow.take(p, axis=0).take(q, axis=1)
+                else:
+                    table = narrow.take(q, axis=1).take(p, axis=0)
+                labels[i] = level.setdefault((labels[i], table.tobytes()), len(level))
+            if len(level) == len(pairs):
+                break
+        if m < top:
+            found.append([key for _, key in level])
+        labels = np.array(labels, dtype=np.intp)
+        split_ids, start = [], 0
         for k in range(1, m):
-            pair_class = np.empty((len(found[k - 1]), len(found[m - k - 1])), dtype=np.intp)
-            for i, p in enumerate(found[k - 1]):
-                p = np.frombuffer(p, narrow.dtype)
-                for j, q in enumerate(found[m - k - 1]):
-                    q = np.frombuffer(q, narrow.dtype)
-                    # the shorter operand's axis first; the 2-D narrow[p[:, None], q] is several times slower
-                    table = narrow[p].take(q, axis=1) if len(p) <= len(q) else narrow[:, q][p]
-                    pair_class[i, j] = level.setdefault(table.tobytes(), len(level))
+            shape = (len(found[k - 1]), len(found[m - k - 1]))
+            pair_class = labels[start:start + shape[0] * shape[1]].reshape(shape)
             split_ids.append(pair_class[ids[k - 1][:, None], ids[m - k - 1]].reshape(-1))
-        found.append(list(level))
+            start += pair_class.size
         ids.append(np.concatenate(split_ids))
     classes = []
     for c in ids:
         members = np.split(np.argsort(c, kind="stable"), np.cumsum(np.bincount(c))[:-1])
         classes.append(tuple(tuple(m.tolist()) for m in members))
-    return SpectrumReport(tuple(map(len, found)), tuple(classes))
+    return SpectrumReport(tuple(map(len, classes)), tuple(classes))
 
 
 def spectrum_ak_oracle(k: int, max_n: int) -> list[int]:

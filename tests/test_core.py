@@ -100,6 +100,18 @@ def test_gpd_roundtrip(g):
     assert parse_groupoid(write_groupoid(g)) == g
 
 
+def test_groupoid_copies_the_callers_table():
+    t = np.zeros((2, 2), dtype=np.int64)
+    g = Groupoid(("a", "b"), t)
+    h = Groupoid(("a", "b"), t[:, :])
+    before = hash(g)
+    t[0, 0] = 1  # the caller's array stays writable
+    for made in (g, h):
+        assert made.table.tolist() == [[0, 0], [0, 0]]
+        assert hash(made) == before
+        assert not made.table.flags.writeable
+
+
 # --- dual --------------------------------------------------------------------
 
 def test_dual_involution_catalog():

@@ -5,7 +5,8 @@ narrow-dtype switch, where they have 255 to 300 elements, for the
 congruence generators, where they have 1 to 6, in the relational
 witness search, where they have 2 to 6, and for the spectrum up to
 n=6, where they have 1 to 3 elements or are semigroups of up to 4
-elements with one or two cells rewritten.
+elements with one or two cells rewritten, in slabs of the default size
+or of 1 to 2048 cells.
 """
 
 import itertools
@@ -101,6 +102,21 @@ near_semigroups = st.builds(
 def test_spectrum_composition_matches_brute_force(g):
     rep = spectrum(g, 6)
     assert rep.classes == tuple(spectrum_classes(g, n) for n in range(1, 7))
+    assert rep.values == tuple(map(len, rep.classes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tables_up_to(3), near_semigroups), st.integers(2, 6), st.sampled_from([1, 500, 2048]))
+@example(groupoid_of(2, [0, 0, 1, 0]), 3, 1)  # associative in the first slab, both defects in the second
+@example(groupoid_of(2, [0, 1, 0, 0]), 4, 1)  # two n=4 classes that only the first of two slabs splits
+def test_spectrum_top_level_in_small_slabs_matches_brute_force(g, max_n, slab_cells):
+    # 1: one row of x1 per top-level slab; at n=6, 500 cells hold two rows of
+    # three (the last slab is short) or one of four, and 2048 the whole table
+    # of three or two rows of four
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonassoc, "SLAB_CELLS", slab_cells)
+        rep = spectrum(g, max_n)
+    assert rep.classes == tuple(spectrum_classes(g, n) for n in range(1, max_n + 1))
     assert rep.values == tuple(map(len, rep.classes))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ def test_spectrum_above_256_elements_keeps_distinct_functions():
     assert not is_semigroup(g)
 
 
+def cyclic(n):
+    return Groupoid(tuple(map(str, range(n))), np.add.outer(np.arange(n), np.arange(n)) % n)
+
+
+@pytest.mark.parametrize("g, values", [(repro_257(), (1, 1, 2)), (cyclic(256), (1, 1, 1))])
+def test_spectrum_top_level_keeps_no_whole_table(g, values):
+    # a whole n=3 table is 17 MB (uint8, 256 elements) or 34 MB (uint16, 257)
+    tracemalloc.start()
+    try:
+        rep = spectrum(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.values == values
+    assert peak < 8 << 20
+
+
 def test_oracle_values():
     assert spectrum_ak_oracle(2, 5)[4] == 8
     for k in (2, 3, 5, 7):
@@ -205,6 +223,18 @@ def test_nulla_agrees_with_generic_checker():
             want = term_function(g, ident.lhs) == term_function(g, ident.rhs)
             assert satisfies_identity(g, ident)[0] == want
             assert nulla_satisfied(g, n) == want
+
+
+def test_optable_copies_the_callers_entries():
+    e = np.array([0, 1, 1, 0], dtype=np.int64)
+    op = OpTable(2, 2, e)
+    view = OpTable(2, 2, e.reshape(2, 2)[:, :])
+    before = hash(op)
+    e[0] = 1  # the caller's array stays writable
+    for made in (op, view):
+        assert made.entries.tolist() == [0, 1, 1, 0]
+        assert hash(made) == before
+        assert not made.entries.flags.writeable
 
 
 def test_optable_validation():
