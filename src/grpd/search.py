@@ -5,24 +5,30 @@ most significant digit), optionally restricted to idempotent tables.
 The scan searches partial tables pruned per cell: a batch of tables
 with undefined cells (-1) takes each value of the next free cell, and
 every table in which a fully defined identity instance fails is
-dropped at once, with the subtree below it.  An instance is evaluated
-only from the depth at which the cells its products of two variables
-read are assigned.  A check is the same filter run on the full tables
-that survive, with the identities of the check's row in
-``terms.VARIETIES`` (then the row's scheme, ``in_D``'s absorption
-scheme, on the few tables that pass them): the violators are exactly
-the survivors it drops.  Batches of at most ``CHUNK`` rows come out in
-enumeration order, so results do not depend on ``CHUNK``: counts are
-summed and the first witness is the one with the smallest table index.
+dropped at once, with the subtree below it.  Each identity's
+assignments are one array, built once per scan with the depth from
+which the cells its products of two variables read are assigned; an
+instance is evaluated only from that depth.  The ready instances are
+evaluated a block at a time, each product one gather over the batch
+and the block: the first block holds one instance (most tables fail
+it), each later one twice as many, while the block's index array stays
+within ``nonassoc.SLAB_CELLS`` bytes.  A check is the same filter run
+on the full tables that survive, with the identities of the check's
+row in ``terms.VARIETIES`` (then the row's scheme, ``in_D``'s
+absorption scheme, on the few tables that pass them): the violators
+are exactly the survivors it drops.  Batches of at most ``CHUNK`` rows
+come out in enumeration order, so results do not depend on ``CHUNK``
+or on the blocks: counts are summed and the first witness is the one
+with the smallest table index.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import nonassoc
 from .core import Groupoid
 from .errors import GuardError
 from .terms import Identity, eval_term, parse_identity, predicates, variety
@@ -63,17 +69,22 @@ def _root(size: int, cells: list[tuple[int, int]]) -> np.ndarray:
 
 
 def _partial_product(tables: np.ndarray, size: int):
-    """Product of two element ints or per-table arrays across a batch of partial
-    tables (-1 = undefined).  The flat index of a -1 operand wraps around to the
-    padding, so the product is -1 too; int8 holds the index up to size 10.  Two
-    ints read one column, which is -1 throughout while their cell is unassigned."""
+    """Product over a batch of partial tables (-1 = undefined) and a block of k
+    identity instances.  A variable is a (k,) array of elements; a product is
+    a (tables, k) array.  A product of two variables gathers k columns of the
+    flat (tables, (size+1)^2) batch; any other is one flat ``take`` at
+    ``row * (size+1)^2 + left * (size+1) + right``.  A -1 operand's index
+    wraps around to the padding row or column, so the product is -1 too;
+    int8 holds ``left * (size+1) + right`` up to size 10."""
     width = size + 1
     tables = tables.reshape(len(tables), width * width)
-    rows = np.arange(len(tables))
+    flat = tables.reshape(-1)
+    starts = np.arange(len(tables), dtype=np.int64)[:, None] * (width * width)
 
     def product(left, right):
-        flat = left * width + right
-        return tables[:, flat] if isinstance(flat, int) else tables[rows, flat]
+        if left.ndim == right.ndim == 1:
+            return tables.take(left * width + right, axis=1)
+        return flat.take(starts + (left * width + right))
 
     return product
 
@@ -87,38 +98,59 @@ def _leaf_products(t) -> list[tuple[str, str]]:
     return _leaf_products(t.left) + _leaf_products(t.right)
 
 
-def _instances(identities, size: int, cells: list[tuple[int, int]], depth: int):
-    """Yield the (identity, assignment) instances to evaluate at ``depth``: those
-    whose products of two variables read no free cell from ``cells[depth]`` on."""
-    unassigned = set(cells[depth:])
+def _instances(identities, size: int, cells: list[tuple[int, int]]):
+    """Each identity with its variable names, the (k, variables) array of its
+    assignments, in ``itertools.product`` order, and the depth at which each
+    becomes ready: the depth from which every product of two variables reads
+    an assigned cell (0 for a cell that is never free)."""
+    assigned_at = np.zeros((size, size), dtype=np.int64)
+    for depth, (i, j) in enumerate(cells):
+        assigned_at[i, j] = depth + 1
+    out = []
     for ident in identities:
         names = ident.variables
-        leaves = _leaf_products(ident.lhs) + _leaf_products(ident.rhs)
-        for values in itertools.product(range(size), repeat=len(names)):
-            env = dict(zip(names, values))
-            if not any((env[a], env[b]) in unassigned for a, b in leaves):
-                yield ident, env
+        values = np.indices((size,) * len(names), dtype=np.int8).reshape(len(names), -1).T
+        ready = np.zeros(len(values), dtype=np.int64)
+        for a, b in _leaf_products(ident.lhs) + _leaf_products(ident.rhs):
+            ready = np.maximum(ready, assigned_at[values[:, names.index(a)], values[:, names.index(b)]])
+        out.append((ident, names, values, ready))
+    return out
 
 
-def _prune(tables: np.ndarray, instances, size: int) -> np.ndarray:
-    """Drop the tables in which a fully defined identity instance fails."""
+def _block_size(last: int, tables: np.ndarray) -> int:
+    """Instances in the next block over ``tables``: one first (``last`` = 0),
+    then twice the last, up to the most whose int64 index array of
+    (tables, instances) stays within ``nonassoc.SLAB_CELLS`` bytes."""
+    return max(1, min(2 * last, nonassoc.SLAB_CELLS // 8 // len(tables)))
+
+
+def _prune(tables: np.ndarray, instances, size: int, depth: int) -> np.ndarray:
+    """Drop the tables in which a fully defined identity instance ready at
+    ``depth`` fails, evaluating each identity's ready instances a block at a
+    time: a table stays iff every instance of the block is undefined on a
+    side or equal on both."""
     product = _partial_product(tables, size)
-    for ident, env in instances:
-        if not len(tables):
-            break
-        lhs = eval_term(ident.lhs, env, product)
-        rhs = eval_term(ident.rhs, env, product)
-        keep = np.broadcast_to((lhs < 0) | (rhs < 0) | (lhs == rhs), (len(tables),))
-        if not keep.all():
-            tables = tables[keep]
-            product = _partial_product(tables, size)
+    for ident, names, values, ready in instances:
+        values = values[ready <= depth]
+        lo = step = 0
+        while lo < len(values) and len(tables):
+            step = _block_size(step, tables)
+            block = values[lo:lo + step]
+            lo += step
+            env = {name: block[:, c] for c, name in enumerate(names)}
+            lhs = eval_term(ident.lhs, env, product)
+            rhs = eval_term(ident.rhs, env, product)
+            keep = ((lhs < 0) | (rhs < 0) | (lhs == rhs)).all(axis=-1)  # a scalar if both sides are variables
+            if not keep.all():
+                tables = tables[keep] if keep.ndim else tables[:0]
+                product = _partial_product(tables, size)
     return tables
 
 
-def _expand(frontier, identities, depth, size, cells):
+def _expand(frontier, instances, depth, size, cells):
     """Prune ``frontier`` and yield in index order the full tables below it, giving
     ``cells[depth]`` each value in slices of at most ``CHUNK`` rows."""
-    frontier = _prune(frontier, _instances(identities, size, cells, depth), size)
+    frontier = _prune(frontier, instances, size, depth)
     if depth == len(cells):
         yield frontier
         return
@@ -127,7 +159,7 @@ def _expand(frontier, identities, depth, size, cells):
     for lo in range(0, len(frontier), step):
         rows = np.repeat(frontier[lo:lo + step], size, axis=0)
         rows[:, i, j] = np.tile(np.arange(size), len(rows) // size)
-        yield from _expand(rows, identities, depth + 1, size, cells)
+        yield from _expand(rows, instances, depth + 1, size, cells)
 
 
 def _table_index(tables: np.ndarray, size: int, cells: list[tuple[int, int]]) -> np.ndarray:
@@ -191,10 +223,11 @@ def search_tables(
     violations = 0
     first_idx = None
     witness = None
-    for tables in _expand(_root(size, cells), identities, 0, size, cells):
+    checks = _instances(members, size, cells)
+    for tables in _expand(_root(size, cells), _instances(identities, size, cells), 0, size, cells):
         satisfying += len(tables)
         indices = _table_index(tables, size, cells)
-        kept = _prune(tables, _instances(members, size, cells, len(cells)), size)
+        kept = _prune(tables, checks, size, len(cells))
         if row.scheme is not None:
             kept = kept[np.array([row.scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
         bad = np.setdiff1d(indices, _table_index(kept, size, cells), assume_unique=True)

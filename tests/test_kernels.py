@@ -449,11 +449,18 @@ def brute_search(size, idempotent_only, ident, check):
 
 @pytest.mark.parametrize("size, idempotent_only", [(2, False), (3, True)])
 @settings(max_examples=15, deadline=None)
-@given(ident=identities, check=st.sampled_from(sorted(CHECKS)), chunk=st.sampled_from([7, 100, 1 << 20]))
-def test_search_matches_per_table_checks(size, idempotent_only, ident, check, chunk):
+@given(ident=identities, check=st.sampled_from(sorted(CHECKS)), chunk=st.sampled_from([7, 100, 1 << 20]),
+       block=st.sampled_from([None, 1, 1 << 30]))
+@example(ident=parse_identity("((x y) (z x)) = (y x)"), check="in_D", chunk=7, block=1)
+@example(ident=parse_identity("((x y) (z x)) = (y x)"), check="in_A", chunk=100, block=1 << 30)
+def test_search_matches_per_table_checks(size, idempotent_only, ident, check, chunk, block):
+    """``block`` forces blocks of exactly that many identity instances (1 << 30:
+    all at once); None keeps the doubling schedule."""
     for name in sorted({"is_semigroup", check}):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "CHUNK", chunk)
+            if block is not None:
+                mp.setattr(search, "_block_size", lambda last, tables: block)
             summary = search_tables(size, idempotent_only, [ident], name)
         satisfying, violations, first = brute_search(size, idempotent_only, ident, name)
         assert (summary.satisfying, summary.violations) == (satisfying, violations)

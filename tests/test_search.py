@@ -4,12 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grpd.core import Groupoid
 from grpd.errors import GuardError
-from grpd import search
+from grpd import nonassoc, search
 from grpd.search import CHECKS, all_tables, search_tables
 from grpd.terms import (
     Identity,
@@ -89,6 +89,20 @@ def chunk_rows(rows):
         yield
 
 
+ALL = 1 << 30  # more instances than any identity has: one block holds all of them
+
+
+@contextlib.contextmanager
+def instance_blocks(count):
+    """Prune with blocks of exactly ``count`` identity instances (all of them for
+    ``ALL``); ``None`` keeps the doubling schedule.  The schedule's first block
+    holds one instance whatever the memory bound, so the schedule is patched."""
+    with pytest.MonkeyPatch.context() as mp:
+        if count is not None:
+            mp.setattr(search, "_block_size", lambda last, tables: count)
+        yield
+
+
 def terms_over(names):
     return st.recursive(
         st.sampled_from(names).map(var),
@@ -103,9 +117,11 @@ identities = st.tuples(terms_over("xyz"), terms_over("xyz")).map(lambda sides: I
 @pytest.mark.parametrize("idempotent_only", [False, True])
 @settings(max_examples=12, deadline=None)
 @given(ident=identities, check=st.sampled_from(["is_semigroup", "is_left_zero"]),
-       chunk=st.sampled_from([1, 7, 1 << 20]))
-def test_pruned_search_matches_brute_force(idempotent_only, ident, check, chunk):
-    with chunk_rows(chunk):
+       chunk=st.sampled_from([1, 7, 1 << 20]), block=st.sampled_from([None, 1, ALL]))
+@example(ident=parse_identity("(x (y x)) = ((x y) z)"), check="is_semigroup", chunk=7, block=1)
+@example(ident=parse_identity("(x (y x)) = ((x y) z)"), check="is_left_zero", chunk=7, block=ALL)
+def test_pruned_search_matches_brute_force(idempotent_only, ident, check, chunk, block):
+    with chunk_rows(chunk), instance_blocks(block):
         summary = search_tables(3, idempotent_only, [ident], check)
     assert summary.total == 3 ** (6 if idempotent_only else 9)
     assert scan(summary) == brute_scan(3, idempotent_only, [ident], check)
@@ -138,10 +154,59 @@ def test_all_tables_in_index_order():
 def test_size4_pinned_scans():
     summary = search_tables(4, True, [scheme_identity("left_eq_right", 4)])
     assert (summary.total, *scan(summary)) == (4 ** 12, 604, 0, None, None)
+    assert scan(search_tables(4, True, [scheme_identity("left_eq_right", 6)])) == (604, 0, None, None)
+    assert scan(search_tables(4, True, list(scheme_identity("prefixed_pair", 4)))) == (604, 0, None, None)
+    witness = [[0, 0, 0, 0], [0, 1, 2, 2], [0, 1, 2, 1], [0, 1, 2, 3]]
     with chunk_rows(1000):
         summary = search_tables(4, True, [scheme_identity("nulla", 4)])
     assert scan(summary)[:3] == (700, 96, 41286)
-    assert summary.first_witness.table.tolist() == [[0, 0, 0, 0], [0, 1, 2, 2], [0, 1, 2, 1], [0, 1, 2, 3]]
+    assert summary.first_witness.table.tolist() == witness
+    summary = search_tables(4, True, [scheme_identity("nulla", 6)])
+    assert scan(summary)[:3] == (700, 96, 41286)
+    assert summary.first_witness.table.tolist() == witness
+
+
+def test_block_drops_failing_tables_and_keeps_undefined_ones(monkeypatch):
+    # (x x) x = x over size-2 partial tables (-1 = unassigned), both instances
+    # x = 0 and x = 1 in one block
+    ident = parse_identity("((x x) x) = x")
+    cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    rows = {
+        "x=0 undefined, x=1 holds": [[1, -1], [-1, 1]],
+        "x=0 holds, x=1 fails": [[0, 0], [-1, 0]],
+        "x=0 undefined, x=1 fails": [[-1, 0], [-1, 0]],
+        "x=0 holds, x=1 undefined": [[0, -1], [-1, -1]],
+        "both undefined": [[-1, -1], [-1, -1]],
+    }
+    tables = np.full((len(rows), 3, 3), -1, dtype=np.int8)
+    tables[:, :2, :2] = list(rows.values())
+    evaluations = []
+
+    def counting_eval(t, env, product):
+        evaluations.append(len(next(iter(env.values()))))
+        return eval_term(t, env, product)
+
+    monkeypatch.setattr(search, "eval_term", counting_eval)
+    instances = search._instances([ident], 2, cells)
+    for count in (ALL, 1, None):
+        evaluations.clear()
+        with instance_blocks(count):
+            kept = search._prune(tables, instances, 2, len(cells))
+        assert [t[:2, :2].tolist() for t in kept] == [rows["x=0 undefined, x=1 holds"],
+                                                   rows["x=0 holds, x=1 undefined"],
+                                                   rows["both undefined"]]
+        if count is ALL:
+            assert evaluations == [2, 2]  # one block: each side evaluated once, over both instances
+
+
+def test_block_schedule_doubles_within_the_slab_bound():
+    tables = np.zeros((1000, 1, 1), dtype=np.int8)
+    steps = [search._block_size(0, tables)]
+    while steps[-1] < nonassoc.SLAB_CELLS // 8 // 1000:
+        steps.append(search._block_size(steps[-1], tables))
+    assert steps[:3] == [1, 2, 4] and steps[-1] == nonassoc.SLAB_CELLS // 8 // 1000
+    assert search._block_size(steps[-1], tables) == steps[-1]
+    assert search._block_size(1 << 10, np.zeros((nonassoc.SLAB_CELLS, 1, 1), dtype=np.int8)) == 1
 
 
 @functools.lru_cache(maxsize=None)
