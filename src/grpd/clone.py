@@ -3,13 +3,16 @@
 The binary part is the least set of arity-2 tables containing both
 projections and closed under (u, v) -> f(u(x,y), v(x,y)), where f is
 the basic operation.  It realizes the two-generated free algebra of
-the generated variety, with the product g*h = f(g, h).
+the generated variety, with the product g*h = f(g, h).  The closure
+records the index of every product it composes, so its table is the
+f2 table.
 
 The minimality proxy is exact at the binary level: the binary part of
 the clone generated by a binary h is precisely the closure of the
 projections under composition with h, so the basic operation missing
-from that closure certifies the clone is not minimal.  A pass does NOT
-prove minimality (higher-arity generators are never examined).
+from that closure certifies the clone is not minimal; the closure
+stops as soon as f turns up.  A pass does NOT prove minimality
+(higher-arity generators are never examined).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
+from . import nonassoc
 from .core import Groupoid, SubsetWitness, generate_subuniverse, generated_congruence, partition_preserved_by
 from .errors import GuardError
 from .spectrum import OpTable, term_function
@@ -33,74 +37,72 @@ class BinaryClonePart:
     """The arity-2 term operations of a groupoid's clone.
 
     ``ops[0]``/``ops[1]`` are the projections; ``basic_index`` locates
-    the basic operation f.  ``product(i, j)`` composes f(ops[i], ops[j])
-    on demand and looks the result up by its table bytes; no product
-    table is stored.
+    the basic operation f.  ``products[i, j]`` is the index of
+    f(ops[i], ops[j]), the table the closure filled in as it composed.
     """
 
     ops: tuple[OpTable, ...]
     names: tuple[str, ...]
     basic_index: int
-    _key_index: dict    # table bytes -> op index
+    products: np.ndarray
 
     def __len__(self):
         return len(self.ops)
 
-    def product(self, i: int, j: int) -> int:
-        basic = self.ops[self.basic_index].as_array()
-        composed = basic[self.ops[i].as_array(), self.ops[j].as_array()]
-        return self._key_index[composed.tobytes()]
 
-
-def _projections(n: int) -> tuple[np.ndarray, np.ndarray]:
-    e1 = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], (n, n)).copy()
-    e2 = np.broadcast_to(np.arange(n, dtype=np.int64)[None, :], (n, n)).copy()
-    return e1, e2
-
-
-def _close_under(combiner: np.ndarray, n: int):
+def _close_under(combiner: np.ndarray, stop: bytes | None = None):
     """Close {e1, e2} under (u, v) -> combiner[u, v], breadth first.
 
-    Returns (tables, names, key_index).  Ops take their turns in
-    discovery order; at u's turn, u is composed on both sides with
-    every op found so far.  ``snapshots[v]`` is the op count at v's
-    turn, so for v < u the pair was already composed iff u <
-    snapshots[v].  Every ordered pair is thus composed exactly once,
-    and the discovery order (and so the names) is stable.  More than
-    ``CLONE_GUARD`` ops raise GuardError.
+    Returns (ops, names, products): ops as rows of cells in the
+    combiner's dtype, stored in blocks that double, and the index of
+    each combiner[ops[i], ops[j]] (-1: not yet composed).  At u's turn
+    the pairs left are the -1 entries of row u among the ops found so
+    far, for v ascending, (u, v) before (v, u) ((u, u) twice).  One
+    ``take`` per block of at most ``nonassoc.SLAB_CELLS`` cells composes
+    them; new ops are appended in that order, so names are stable.
+    Returns None once ``stop`` (the bytes of a table in the combiner's
+    dtype) is an op.  More than ``CLONE_GUARD`` ops raise GuardError.
     """
-    e1, e2 = _projections(n)
-    tables = [e1, e2]
+    n = len(combiner)
+    ops = np.empty((16, n * n), combiner.dtype)
+    ops[:2] = np.divmod(np.arange(n * n), n)    # e1, e2
+    products = np.full((16, 16), -1, np.min_scalar_type(-CLONE_GUARD))
     names = ["x", "y"]
-    key_index = {e1.tobytes(): 0, e2.tobytes(): 1}
-    snapshots: list[int] = []
-    u = 0
-    while u < len(tables):
-        snapshot = len(tables)
-        snapshots.append(snapshot)
-        for v in range(snapshot):
-            if v < u < snapshots[v]:
-                continue
-            for i, j in ((u, v),) if v == u else ((u, v), (v, u)):
-                composed = np.ascontiguousarray(combiner[tables[i], tables[j]])
-                key = composed.tobytes()
+    key_index = {ops[0].tobytes(): 0, ops[1].tobytes(): 1}
+    if stop in key_index:
+        return None
+    block = max(1, nonassoc.SLAB_CELLS // (n * n))
+    u, m = 0, 2
+    while u < m:
+        vs = np.flatnonzero(products[u, :m] < 0)
+        pairs = np.where([[False, True], [True, False]], vs[:, None, None], u).reshape(-1, 2)    # (u, v), (v, u)
+        for lo in range(0, len(pairs), block):
+            i, j = pairs[lo:lo + block].T
+            composed = combiner.take(ops[i].astype(np.intp) * n + ops[j])
+            keys = composed.view(f"V{n * n * ops.itemsize}").ravel().tolist()    # each row's bytes
+            for a, b, key in zip(i.tolist(), j.tolist(), keys):
                 if key not in key_index:
-                    idx = len(tables)
-                    if idx >= CLONE_GUARD:
+                    if m >= CLONE_GUARD:
                         raise GuardError(f"binary clone closure exceeded {CLONE_GUARD} operations")
-                    tables.append(composed)
-                    names.append(f"({names[i]} {names[j]})")
-                    key_index[key] = idx
+                    if m == len(ops):
+                        ops = np.resize(ops, (min(2 * m, CLONE_GUARD), n * n))
+                        products = np.pad(products, (0, len(ops) - m), constant_values=-1)
+                    ops[m] = np.frombuffer(key, ops.dtype)
+                    names.append(f"({names[a]} {names[b]})")
+                    key_index[key] = m
+                    m += 1
+                    if key == stop:
+                        return None
+            products[i, j] = [key_index[key] for key in keys]
         u += 1
-    return tables, names, key_index
+    return ops[:m], names, products[:m, :m]
 
 
 def binary_clone_part(g: Groupoid) -> BinaryClonePart:
     """Compute the binary part of Clo(g) with term names for each op."""
-    tables, names, key_index = _close_under(g.table, g.n)
-    ops = tuple(OpTable(2, g.n, t.reshape(-1)) for t in tables)
-    basic = key_index[g.table.tobytes()]
-    return BinaryClonePart(ops, tuple(names), basic, key_index)
+    ops, names, products = _close_under(g.narrow_table)
+    products.flags.writeable = False
+    return BinaryClonePart(tuple(OpTable(2, g.n, op) for op in ops), tuple(names), int(products[0, 1]), products)
 
 
 def f2_table(g: Groupoid) -> Groupoid:
@@ -110,28 +112,22 @@ def f2_table(g: Groupoid) -> Groupoid:
     result stays .gpd-writable.
     """
     part = binary_clone_part(g)
-    m = len(part)
-    table = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            table[i, j] = part.product(i, j)
-    names = tuple(name.replace(" ", "") for name in part.names)
-    return Groupoid(names, table)
+    return Groupoid(tuple(name.replace(" ", "") for name in part.names), part.products)
 
 
 def is_trivial_clone(g: Groupoid) -> bool:
     """A groupoid has a trivial clone iff it is a left or right zero
     semigroup (its operation is a projection)."""
-    e1, e2 = _projections(g.n)
-    return bool(np.array_equal(g.table, e1) or np.array_equal(g.table, e2))
+    rows, cols = np.indices(g.table.shape)
+    return bool((g.table == rows).all() or (g.table == cols).all())
 
 
 def generates_basic(g: Groupoid, h: OpTable) -> bool:
     """Is the basic operation in the binary part of the clone h generates?"""
     if h.arity != 2 or h.base != g.n:
         raise ValueError("suspect must be a binary op on the same carrier")
-    _, _, key_index = _close_under(h.as_array(), g.n)
-    return g.table.tobytes() in key_index
+    f = g.narrow_table
+    return _close_under(h.as_array().astype(f.dtype), stop=f.tobytes()) is None
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -253,6 +254,17 @@ def test_clone_witness_on_long_chains_answers_up_to_the_witness_cap(capsys, tmp_
             assert out.endswith(f"partition preserved by x but not by the product: {blocks}\n")
         else:
             assert (code, out, err) == (2, "", "error: witness search capped at n=20\n")
+
+
+def test_clone_f2_proxy_json_over_the_catalog_is_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for name in catalog_list():
+        path = tmp_path / f"{name}.gpd"
+        path.write_text(write_groupoid(catalog_get(name).groupoid))
+        code, out, err = run(capsys, "clone", str(path), "--f2", "--proxy", "--json")
+        assert err == ""
+        digest.update(f"{name}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == "3aa40417d04f119a2f299841fd7e5adc32eccf679a7b06a25d555138283b8471"
 
 
 def test_clone_past_the_closure_guard_exits_2(capsys, tmp_path):

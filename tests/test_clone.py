@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,14 +68,14 @@ def test_clone_part_closed_under_product():
         part = binary_clone_part(cat(name))
         for i in range(len(part)):
             for j in range(len(part)):
-                assert 0 <= part.product(i, j) < len(part)
+                assert 0 <= part.products[i, j] < len(part)
 
 
 def test_clone_part_basic_is_e1_e2_product():
     for name in ("G1", "G6", "propD-F2"):
         g = cat(name)
         part = binary_clone_part(g)
-        assert part.product(0, 1) == part.basic_index
+        assert part.products[0, 1] == part.basic_index
         assert np.array_equal(part.ops[part.basic_index].as_array(), g.table)
 
 
@@ -164,6 +165,32 @@ def test_proxy_fails_on_aab_eps():
     assert not binary_minimality_proxy(g).passes
     x_xy = binary_term_table(g, parse_term("(x (x y))"))
     assert not generates_basic(g, x_xy)
+
+
+@pytest.mark.parametrize("table, passes, witness", [
+    # idempotent tables whose binary clone holds all 729 idempotent ops
+    ([[0, 0, 1], [2, 1, 0], [0, 0, 2]], False, "(y (x y))"),
+    ([[0, 0, 1], [2, 1, 0], [0, 1, 2]], False, "((x y) y)"),
+    # passes, though its ternary part holds semiprojections: not minimal
+    ([[0, 0, 0], [1, 1, 2], [2, 1, 2]], True, None),
+])
+def test_proxy_pinned_on_three_element_tables(table, passes, witness):
+    assert binary_minimality_proxy(Groupoid(("a", "b", "c"), table)) == clone.ProxyVerdict(passes, witness)
+
+
+def test_clone_closure_memory_is_bounded_past_the_guard():
+    # the guard fires at 2,048 ops of 4,096 cells each; held twice as
+    # int64, as arrays and as bytes keys, they peaked near 129 MiB
+    n = 64
+    g = Groupoid(tuple(str(i) for i in range(n)), np.random.default_rng(0).integers(0, n, (n, n)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match=r"^binary clone closure exceeded 2048 operations$"):
+            binary_clone_part(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_proxy_requires_nontrivial_basic_op():

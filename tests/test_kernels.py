@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 
 from grpd import claims, clone, nonassoc, search, terms
 from grpd.catalog import catalog_get, catalog_list
-from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness
+from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness, generates_basic
 from grpd.core import (
     Groupoid, SubsetWitness, dual, find_isomorphism, generate_subuniverse, generated_congruence, partition_preserved_by,
 )
 from grpd.errors import GuardError
 from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
 from grpd.search import CHECKS, search_tables
-from grpd.spectrum import spectrum
+from grpd.spectrum import OpTable, spectrum
 from grpd.terms import Identity, eval_term, evaluate, is_semigroup, parse_identity, prod, satisfies_identity, var
 
 from brute import spectrum_classes
@@ -471,10 +471,13 @@ def test_search_matches_per_table_checks(size, idempotent_only, ident, check, ch
             assert summary.first_witness == first[1]
 
 
-def reference_closure(g, guard):
-    """Breadth-first closure that remembers every composed pair in a set."""
+def reference_closure(g, guard, tables=None):
+    """Breadth-first closure that remembers every composed pair in a set.
+
+    The ops found are appended to ``tables``, also when the guard fires."""
     n = g.n
-    tables = [np.repeat(np.arange(n), n).reshape(n, n), np.tile(np.arange(n), n).reshape(n, n)]
+    tables = [] if tables is None else tables
+    tables += [np.repeat(np.arange(n), n).reshape(n, n), np.tile(np.arange(n), n).reshape(n, n)]
     names = ["x", "y"]
     keys = {tables[0].tobytes(): 0, tables[1].tobytes(): 1}
     done = set()
@@ -522,7 +525,39 @@ def test_clone_closure_matches_pairwise_reference(g):
     basic = g.table
     for i, j in itertools.product(range(m), repeat=2):
         composed = basic[part.ops[i].as_array(), part.ops[j].as_array()]
-        assert part.ops[part.product(i, j)].as_array().tolist() == composed.tolist()
+        assert part.ops[part.products[i, j]].as_array().tolist() == composed.tolist()
+    assert (part.products >= 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables, st.data())
+def test_generates_basic_matches_reference_closure(g, data):
+    """h is drawn from Clo2(g), as the proxy draws it, or is any binary op,
+    so that both answers occur."""
+    guard = 150
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clone, "CLONE_GUARD", guard)
+        if data.draw(st.booleans()):
+            try:
+                ops = binary_clone_part(g).ops
+            except GuardError:
+                return
+            h = data.draw(st.sampled_from(ops))
+        else:
+            h = OpTable(2, g.n, data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n ** 2, max_size=g.n ** 2)))
+        found = []
+        try:
+            reference_closure(groupoid_of(g.n, h.entries), guard, found)
+            guarded = False
+        except GuardError:
+            guarded = True
+        expected = any(np.array_equal(t, g.table) for t in found)
+        if guarded and not expected:
+            # the closure stops at f, so past the guard it answers only if f came first
+            with pytest.raises(GuardError):
+                generates_basic(g, h)
+        else:
+            assert generates_basic(g, h) == expected
 
 
 def relabel(g, perm, flipped):
