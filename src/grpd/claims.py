@@ -112,7 +112,7 @@ _TAG_CHECKS = {
     "shAbc": lambda g: ns_index(g).sh_type == "abc",
     "shAba": lambda g: ns_index(g).sh_type == "aba",
     "shAab": lambda g: ns_index(g).sh_type == "aab",
-    "cloneNotMinimal": lambda g: not binary_minimality_proxy(g).passes,
+    "cloneNotMinimal": lambda g: not binary_minimality_proxy(binary_clone_part(g)).passes,
     "spectrum2pow": lambda g: spectrum(g, 5).values == (1, 1, 2, 4, 8),
 }
 
@@ -219,7 +219,7 @@ def _sh_suite(name):
             return False, f"{name} violates the factor property at its defect"
         if not _TAG_CHECKS["inBd" if name.endswith("d") else "inB"](g):
             return False, f"{name} fails its variety membership"
-        if not binary_minimality_proxy(g).passes:
+        if not binary_minimality_proxy(binary_clone_part(g)).passes:
             return False, f"{name} binary minimality proxy failed"
         return True, f"{name}: ns=1, type abc, minimal, factor property, membership, proxy"
 
@@ -289,7 +289,7 @@ def _claim_quotient_g6(get):
 def _lemma_nonminimal(name, suspect_text, want_kind, want_payload):
     def fn(get):
         g = get(name)
-        verdict = binary_minimality_proxy(g)
+        verdict = binary_minimality_proxy(binary_clone_part(g))
         if verdict.passes:
             return False, f"{name} proxy unexpectedly passes"
         suspect = binary_term_table(g, parse_term(suspect_text))
@@ -339,7 +339,7 @@ def _claim_disjointness(dual_side):
 def _clone_fixpoint(name):
     def fn(get):
         g = get(name)
-        f2 = f2_table(g)
+        f2 = f2_table(binary_clone_part(g))
         if find_isomorphism(f2, g) is None:
             return False, f"f2_table({name}) has {f2.n} ops, not isomorphic to {name}"
         return True, f"f2_table({name}) is isomorphic to {name} ({f2.n} ops)"

@@ -109,11 +109,10 @@ def cmd_clone(args) -> int:
         lines = [f"binary clone part: over the {CLONE_GUARD}-operation guard"]
     exit_code = 0
     if args.f2:
-        f2 = f2_table(g)
-        payload["f2"] = write_groupoid(f2)
-        lines += ["f2 table:", write_groupoid(f2).rstrip()]
+        payload["f2"] = write_groupoid(f2_table(part))
+        lines += ["f2 table:", payload["f2"].rstrip()]
     if args.proxy:
-        verdict = binary_minimality_proxy(g)
+        verdict = binary_minimality_proxy(part)
         payload["proxy"] = {
             "passes": verdict.passes,
             "witness": verdict.witness_name,

@@ -5,7 +5,8 @@ projections and closed under (u, v) -> f(u(x,y), v(x,y)), where f is
 the basic operation.  It realizes the two-generated free algebra of
 the generated variety, with the product g*h = f(g, h).  The closure
 records the index of every product it composes, so its table is the
-f2 table.
+f2 table.  ``binary_clone_part`` closes it once; the f2 table and the
+minimality proxy read that ``BinaryClonePart`` and close nothing again.
 
 The minimality proxy is exact at the binary level: the binary part of
 the clone generated by a binary h is precisely the closure of the
@@ -34,13 +35,14 @@ WITNESS_MAX_N = 20
 
 @dataclass(frozen=True, eq=False)
 class BinaryClonePart:
-    """The arity-2 term operations of a groupoid's clone.
+    """The arity-2 term operations of ``groupoid``'s clone.
 
     ``ops[0]``/``ops[1]`` are the projections; ``basic_index`` locates
     the basic operation f.  ``products[i, j]`` is the index of
     f(ops[i], ops[j]), the table the closure filled in as it composed.
     """
 
+    groupoid: Groupoid
     ops: tuple[OpTable, ...]
     names: tuple[str, ...]
     basic_index: int
@@ -102,16 +104,15 @@ def binary_clone_part(g: Groupoid) -> BinaryClonePart:
     """Compute the binary part of Clo(g) with term names for each op."""
     ops, names, products = _close_under(g.narrow_table)
     products.flags.writeable = False
-    return BinaryClonePart(tuple(OpTable(2, g.n, op) for op in ops), tuple(names), int(products[0, 1]), products)
+    return BinaryClonePart(g, tuple(OpTable(2, g.n, op) for op in ops), tuple(names), int(products[0, 1]), products)
 
 
-def f2_table(g: Groupoid) -> Groupoid:
-    """The clone part as a groupoid: ops multiplied by u*v = f(u, v).
+def f2_table(part: BinaryClonePart) -> Groupoid:
+    """``part`` as a groupoid: its ops multiplied by u*v = f(u, v).
 
     Element names are the generating terms with spaces stripped so the
     result stays .gpd-writable.
     """
-    part = binary_clone_part(g)
     return Groupoid(tuple(name.replace(" ", "") for name in part.names), part.products)
 
 
@@ -144,20 +145,20 @@ class ProxyVerdict:
     witness_name: str | None = None
 
 
-def binary_minimality_proxy(g: Groupoid) -> ProxyVerdict:
+def binary_minimality_proxy(part: BinaryClonePart) -> ProxyVerdict:
     """For every nontrivial h in the binary clone part, test whether the
     closure of the projections under h recovers the basic operation.
 
     The first h (clone discovery order) that fails is returned as a
     witness of non-minimality.  The projections are ``ops[0]`` and
-    ``ops[1]``, and no other op equals them.
+    ``ops[1]``, and no other op equals them, so the part holds only
+    them iff f is a projection (a 1-element carrier included).
     """
-    if is_trivial_clone(g):
+    if len(part) == 2:
         raise ValueError("basic operation is a projection; proxy needs a nontrivial clone")
-    part = binary_clone_part(g)
-    for idx in range(2, len(part)):
-        if not generates_basic(g, part.ops[idx]):
-            return ProxyVerdict(False, part.names[idx])
+    for op, name in zip(part.ops[2:], part.names[2:]):
+        if not generates_basic(part.groupoid, op):
+            return ProxyVerdict(False, name)
     return ProxyVerdict(True)
 
 

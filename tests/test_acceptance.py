@@ -13,6 +13,7 @@ from grpd.bracketings import catalan, enumerate_bracketings
 from grpd.catalog import build_ak, catalog_get
 from grpd.claims import run_claims
 from grpd.clone import (
+    binary_clone_part,
     binary_minimality_proxy,
     binary_term_table,
     f2_table,
@@ -107,7 +108,7 @@ def test_criterion_05_sh_suite():
             ok = ok and rep.minimal_sh is True
             ok = ok and check_sh_factor_property(g)
             ok = ok and in_B(g if suffix == "" else dual(g))
-            ok = ok and binary_minimality_proxy(g).passes
+            ok = ok and binary_minimality_proxy(binary_clone_part(g)).passes
     report(5, ok, "G1..G10 and duals: ns=1, type (a,b,c), minimal SH, factor "
                   "property, variety membership, proxy passes")
 
@@ -151,14 +152,14 @@ def test_criterion_07_nonminimality_witnesses():
     ok = True
     for name in ("aba-4", "aba-3"):
         g = cat(name)
-        ok = ok and not binary_minimality_proxy(g).passes
+        ok = ok and not binary_minimality_proxy(binary_clone_part(g)).passes
         suspect = binary_term_table(g, parse_term("(x (y x))"))
         ok = ok and not generates_basic(g, suspect)
         w = find_relational_witness(g, suspect)
         ok = ok and w is not None and w.kind == "partition"
         ok = ok and (g.index("b"), g.index("d")) in w.payload.blocks
     g = cat("aab-eps")
-    ok = ok and not binary_minimality_proxy(g).passes
+    ok = ok and not binary_minimality_proxy(binary_clone_part(g)).passes
     suspect = binary_term_table(g, parse_term("(x (x y))"))
     w = find_relational_witness(g, suspect)
     ok = ok and w is not None and w.kind == "subset"
@@ -219,7 +220,7 @@ def test_criterion_10_clone_fixed_points():
     ok = True
     for name in ("propD-F2", "f2cp-2"):
         g = cat(name)
-        ok = ok and find_isomorphism(f2_table(g), g) is not None
+        ok = ok and find_isomorphism(f2_table(binary_clone_part(g)), g) is not None
     report(10, ok, "f2_table(propD-F2) = propD-F2 and f2_table(f2cp-2) = f2cp-2 up to isomorphism")
 
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from grpd import clone
 from grpd.catalog import catalog_get, catalog_list
 from grpd.cli import main
 from grpd.core import Groupoid, parse_groupoid, write_groupoid
@@ -265,6 +266,30 @@ def test_clone_f2_proxy_json_over_the_catalog_is_pinned(capsys, tmp_path):
         assert err == ""
         digest.update(f"{name}\n{code}\n{out}".encode())
     assert digest.hexdigest() == "3aa40417d04f119a2f299841fd7e5adc32eccf679a7b06a25d555138283b8471"
+
+
+@pytest.mark.parametrize("flags", [("--f2", "--proxy"), ("--f2", "--proxy", "--json"), ("--proxy",)])
+def test_clone_closes_the_binary_part_once(capsys, monkeypatch, g3_file, flags):
+    # generates_basic closes with a stop op; every other closure is Clo2(g)
+    full_closures = []
+
+    def counted(combiner, stop=None, real=clone._close_under):
+        full_closures.append(stop is None)
+        return real(combiner, stop)
+    monkeypatch.setattr(clone, "_close_under", counted)
+    code, _, err = run(capsys, "clone", g3_file, *flags)
+    assert (code, err) == (0, "")
+    assert sum(full_closures) == 1
+
+
+@pytest.mark.parametrize("flags", [("--proxy",), ("--f2", "--proxy")])
+@pytest.mark.parametrize("g", [Groupoid(("p", "q"), [[0, 0], [1, 1]]), Groupoid(("e",), [[0]])],
+                         ids=["left-zero", "one-element"])
+def test_clone_proxy_on_a_projection_exits_2(capsys, tmp_path, g, flags):
+    path = tmp_path / "projection.gpd"
+    path.write_text(write_groupoid(g))
+    code, out, err = run(capsys, "clone", str(path), *flags)
+    assert (code, out, err) == (2, "", "error: basic operation is a projection; proxy needs a nontrivial clone\n")
 
 
 def test_clone_past_the_closure_guard_exits_2(capsys, tmp_path):

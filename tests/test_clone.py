@@ -81,25 +81,25 @@ def test_clone_part_basic_is_e1_e2_product():
 
 def test_f2_fixed_point_propd():
     g = cat("propD-F2")
-    assert find_isomorphism(f2_table(g), g) is not None
+    assert find_isomorphism(f2_table(binary_clone_part(g)), g) is not None
 
 
 def test_f2_fixed_point_f2cp2():
     g = cat("f2cp-2")
-    f2 = f2_table(g)
+    f2 = f2_table(binary_clone_part(g))
     assert f2.n == 4  # 2p operations
     assert find_isomorphism(f2, g) is not None
 
 
 def test_f2_g1_matches_free_b_table():
-    assert find_isomorphism(f2_table(cat("G1")), F2_B) is not None
+    assert find_isomorphism(f2_table(binary_clone_part(cat("G1"))), F2_B) is not None
 
 
 def test_f2_twice_is_stable():
     for name in ("propD-F2", "f2cp-2"):
         g = cat(name)
-        once = f2_table(g)
-        assert find_isomorphism(f2_table(once), once) is not None
+        once = f2_table(binary_clone_part(g))
+        assert find_isomorphism(f2_table(binary_clone_part(once)), once) is not None
 
 
 def test_trivial_clone():
@@ -148,11 +148,11 @@ def test_trivial_clone_matches_closure_size4_sample():
 
 def test_proxy_passes_on_g_entries():
     for i in range(1, 11):
-        assert binary_minimality_proxy(cat(f"G{i}")).passes
+        assert binary_minimality_proxy(binary_clone_part(cat(f"G{i}"))).passes
 
 
 def test_proxy_fails_on_aba4():
-    verdict = binary_minimality_proxy(cat("aba-4"))
+    verdict = binary_minimality_proxy(binary_clone_part(cat("aba-4")))
     assert not verdict.passes
     assert verdict.witness_name is not None
     g = cat("aba-4")
@@ -162,7 +162,7 @@ def test_proxy_fails_on_aba4():
 
 def test_proxy_fails_on_aab_eps():
     g = cat("aab-eps")
-    assert not binary_minimality_proxy(g).passes
+    assert not binary_minimality_proxy(binary_clone_part(g)).passes
     x_xy = binary_term_table(g, parse_term("(x (x y))"))
     assert not generates_basic(g, x_xy)
 
@@ -175,7 +175,7 @@ def test_proxy_fails_on_aab_eps():
     ([[0, 0, 0], [1, 1, 2], [2, 1, 2]], True, None),
 ])
 def test_proxy_pinned_on_three_element_tables(table, passes, witness):
-    assert binary_minimality_proxy(Groupoid(("a", "b", "c"), table)) == clone.ProxyVerdict(passes, witness)
+    assert binary_minimality_proxy(binary_clone_part(Groupoid(("a", "b", "c"), table))) == clone.ProxyVerdict(passes, witness)
 
 
 def test_clone_closure_memory_is_bounded_past_the_guard():
@@ -195,7 +195,7 @@ def test_clone_closure_memory_is_bounded_past_the_guard():
 
 def test_proxy_requires_nontrivial_basic_op():
     with pytest.raises(ValueError, match="projection"):
-        binary_minimality_proxy(LEFT_ZERO)
+        binary_minimality_proxy(binary_clone_part(LEFT_ZERO))
 
 
 def test_generates_basic_via_dual():
