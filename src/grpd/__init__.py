@@ -45,7 +45,6 @@ from .errors import GuardError, ParseError
 from .nonassoc import ShReport, check_sh_factor_property, ns_index
 from .search import SearchSummary, search_tables
 from .spectrum import (
-    OpTable,
     SpectrumReport,
     nulla_satisfied,
     spectrum,

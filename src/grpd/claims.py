@@ -238,7 +238,7 @@ def _separating_congruences(g: Groupoid, x: int, y: int) -> list[Partition]:
         found |= frontier
         if len(found) > CONGRUENCE_CAP:
             raise GuardError(f"congruence search capped at {CONGRUENCE_CAP} congruences")
-        frontier = {generated_congruence(g.table, [(b[0], c) for b in p.blocks for c in b[1:]] + [(b1[0], b2[0])])
+        frontier = {generated_congruence(g, [(b[0], c) for b in p.blocks for c in b[1:]] + [(b1[0], b2[0])])
                     for p in frontier for b1, b2 in combinations(p.blocks, 2)} - found
     separating = [p for p in found if 1 < len(p.blocks) < g.n and p.block_ids()[x] != p.block_ids()[y]]
     return sorted(separating, key=lambda p: (-len(p.blocks), p.block_ids()))

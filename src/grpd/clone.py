@@ -1,12 +1,14 @@
 """Binary part of the clone by closure, and clone (non-)minimality tools.
 
-The binary part is the least set of arity-2 tables containing both
-projections and closed under (u, v) -> f(u(x,y), v(x,y)), where f is
-the basic operation.  It realizes the two-generated free algebra of
-the generated variety, with the product g*h = f(g, h).  The closure
-records the index of every product it composes, so its table is the
-f2 table.  ``binary_clone_part`` closes it once; the f2 table and the
-minimality proxy read that ``BinaryClonePart`` and close nothing again.
+The binary part is the least set of binary operations on A containing
+both projections and closed under (u, v) -> f(u(x,y), v(x,y)), where f
+is the basic operation.  Each binary operation, a clone op or a suspect,
+is a ``Groupoid`` on the basic groupoid's elements.  The binary part
+realizes the two-generated free algebra of the generated variety, with
+the product g*h = f(g, h).  The closure records the index of every
+product it composes, so its table is the f2 table.
+``binary_clone_part`` closes it once; the f2 table and the minimality
+proxy read that ``BinaryClonePart`` and close nothing again.
 
 The minimality proxy is exact at the binary level: the binary part of
 the clone generated by a binary h is precisely the closure of the
@@ -24,9 +26,9 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import nonassoc
-from .core import Groupoid, SubsetWitness, generate_subuniverse, generated_congruence, partition_preserved_by
+from .core import Groupoid, SubsetWitness, generate_subuniverse, generated_congruence, is_congruence
 from .errors import GuardError
-from .spectrum import OpTable, term_function
+from .spectrum import term_function
 from .terms import Term
 
 CLONE_GUARD = 2048
@@ -37,13 +39,14 @@ WITNESS_MAX_N = 20
 class BinaryClonePart:
     """The arity-2 term operations of ``groupoid``'s clone.
 
-    ``ops[0]``/``ops[1]`` are the projections; ``basic_index`` locates
-    the basic operation f.  ``products[i, j]`` is the index of
-    f(ops[i], ops[j]), the table the closure filled in as it composed.
+    Each op is a groupoid on ``groupoid``'s elements; ``ops[0]``/``ops[1]``
+    are the projections and ``basic_index`` locates the basic operation f.
+    ``products[i, j]`` is the index of f(ops[i], ops[j]), the table the
+    closure filled in as it composed.
     """
 
     groupoid: Groupoid
-    ops: tuple[OpTable, ...]
+    ops: tuple[Groupoid, ...]
     names: tuple[str, ...]
     basic_index: int
     products: np.ndarray
@@ -104,7 +107,8 @@ def binary_clone_part(g: Groupoid) -> BinaryClonePart:
     """Compute the binary part of Clo(g) with term names for each op."""
     ops, names, products = _close_under(g.narrow_table)
     products.flags.writeable = False
-    return BinaryClonePart(g, tuple(OpTable(2, g.n, op) for op in ops), tuple(names), int(products[0, 1]), products)
+    ops = tuple(Groupoid(g.names, op.reshape(g.n, g.n)) for op in ops)
+    return BinaryClonePart(g, ops, tuple(names), int(products[0, 1]), products)
 
 
 def f2_table(part: BinaryClonePart) -> Groupoid:
@@ -123,12 +127,11 @@ def is_trivial_clone(g: Groupoid) -> bool:
     return bool((g.table == rows).all() or (g.table == cols).all())
 
 
-def generates_basic(g: Groupoid, h: OpTable) -> bool:
+def generates_basic(g: Groupoid, h: Groupoid) -> bool:
     """Is the basic operation in the binary part of the clone h generates?"""
-    if h.arity != 2 or h.base != g.n:
+    if h.n != g.n:
         raise ValueError("suspect must be a binary op on the same carrier")
-    f = g.narrow_table
-    return _close_under(h.as_array().astype(f.dtype), stop=f.tobytes()) is None
+    return _close_under(h.narrow_table, stop=g.narrow_table.tobytes()) is None
 
 
 @dataclass(frozen=True)
@@ -162,15 +165,15 @@ def binary_minimality_proxy(part: BinaryClonePart) -> ProxyVerdict:
     return ProxyVerdict(True)
 
 
-def binary_term_table(g: Groupoid, term: Term) -> OpTable:
-    """Tabulate a two-variable term (over vars x, y) as a binary op."""
+def binary_term_table(g: Groupoid, term: Term) -> Groupoid:
+    """Tabulate a two-variable term (over vars x, y) as a binary op on g's elements."""
     extra = set(term.variables) - {"x", "y"}
     if extra:
         raise ValueError(f"term must only use variables x and y, found {sorted(extra)}")
-    return term_function(g, term, variables=("x", "y"))
+    return Groupoid(g.names, term_function(g, term, ("x", "y")))
 
 
-def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | None:
+def find_relational_witness(g: Groupoid, suspect: Groupoid) -> SubsetWitness | None:
     """First relation preserved by the suspect but not by the basic op.
 
     Subsets are ordered by bitmask, then partitions by block count (most
@@ -184,15 +187,14 @@ def find_relational_witness(g: Groupoid, suspect: OpTable) -> SubsetWitness | No
     n = g.n
     if n > WITNESS_MAX_N:
         raise GuardError(f"witness search capped at n={WITNESS_MAX_N}")
-    if suspect.arity != 2 or suspect.base != n:
+    if suspect.n != n:
         raise ValueError("suspect must be a binary op on the same carrier")
-    s_groupoid = Groupoid(g.names, suspect.as_array())
-    subsets = {generate_subuniverse(s_groupoid, {a, b}) for a, b in combinations_with_replacement(range(n), 2)}
+    subsets = {generate_subuniverse(suspect, {a, b}) for a, b in combinations_with_replacement(range(n), 2)}
     subsets = [s for s in subsets if not set(g.table[np.ix_(list(s), list(s))].flat) <= s]
     if subsets:
         return SubsetWitness("subset", min(subsets, key=lambda s: sum(1 << i for i in s)))
-    partitions = [generated_congruence(s_groupoid.table, [pair]) for pair in combinations(range(n), 2)]
-    partitions = [p for p in partitions if not partition_preserved_by(g.table, p)]
+    partitions = [generated_congruence(suspect, [pair]) for pair in combinations(range(n), 2)]
+    partitions = [p for p in partitions if not is_congruence(g, p)]
     if partitions:
         return SubsetWitness("partition", min(partitions, key=lambda p: (-len(p.blocks), p.block_ids())))
     return None

@@ -3,7 +3,9 @@
 A groupoid here is a finite set with one binary operation given by an
 n x n table (row = left factor).  Elements are dense indices 0..n-1
 internally; display names live in a side table so the hot loops stay
-index-only.
+index-only.  ``Groupoid`` is the one type of a binary operation: a
+clone op or a suspect is a groupoid on the basic groupoid's elements,
+and the relation functions (subuniverses, congruences) take a groupoid.
 """
 
 from __future__ import annotations
@@ -208,42 +210,37 @@ def generate_subuniverse(g: Groupoid, seeds) -> frozenset[int]:
     return frozenset(closed)
 
 
-def generated_congruence(table: np.ndarray, pairs) -> Partition:
-    """The finest partition that contains ``pairs`` and that ``table`` preserves.
+def generated_congruence(g: Groupoid, pairs) -> Partition:
+    """Cg(pairs): the finest congruence of g that contains ``pairs``.
 
     Blocks are labelled by their least members and merge, each merge
     forced, until every element's row and column of labels match its
-    block's first member's: the check of ``partition_preserved_by``.
+    block's first member's: the check of ``is_congruence``.
     """
-    ids = np.arange(len(table))
+    ids = np.arange(g.n)
     pending = set(pairs)
     while pending:
         for a, b in pending:
             low, high = sorted((ids[a], ids[b]))
             ids[ids == high] = low
-        t = ids[table]
+        t = ids[g.table]
         pending = {pair for first in (t[ids], t[:, ids]) for pair in zip(t[t != first].tolist(), first[t != first].tolist())}
     return Partition(tuple(tuple(np.flatnonzero(ids == label).tolist()) for label in np.unique(ids)))
 
 
-def partition_preserved_by(table: np.ndarray, p: Partition) -> bool:
-    """Is the partition compatible with an arbitrary binary op table?
+def is_congruence(g: Groupoid, p: Partition) -> bool:
+    """True iff the partition is compatible with the groupoid product.
 
     Checks a ~ a' implies a*v ~ a'*v and v*a ~ v*a' for every v, comparing
     each element's row and column of block ids with those of its block's
     first member; by transitivity this is full two-sided compatibility.
     """
-    ids = np.asarray(p.block_ids())
-    firsts = np.array([b[0] for b in p.blocks])[ids]
-    t = ids[table]
-    return bool(np.array_equal(t, t[firsts]) and np.array_equal(t, t[:, firsts]))
-
-
-def is_congruence(g: Groupoid, p: Partition) -> bool:
-    """True iff the partition is compatible with the groupoid product."""
     if p.n != g.n:
         raise ValueError("partition size does not match groupoid")
-    return partition_preserved_by(g.table, p)
+    ids = np.asarray(p.block_ids())
+    firsts = np.array([b[0] for b in p.blocks])[ids]
+    t = ids[g.table]
+    return bool(np.array_equal(t, t[firsts]) and np.array_equal(t, t[:, firsts]))
 
 
 def quotient(g: Groupoid, p: Partition) -> Groupoid:

@@ -109,7 +109,8 @@ def _instances(identities, size: int, cells: list[tuple[int, int]]):
     out = []
     for ident in identities:
         names = ident.variables
-        values = np.indices((size,) * len(names), dtype=np.int8).reshape(len(names), -1).T
+        # base-size digits, the first variable most significant; np.indices caps at 64 axes
+        values = (np.arange(size ** len(names))[:, None] // size ** np.arange(len(names))[::-1] % size).astype(np.int8)
         ready = np.zeros(len(values), dtype=np.int64)
         for a, b in _leaf_products(ident.lhs) + _leaf_products(ident.rhs):
             ready = np.maximum(ready, assigned_at[values[:, names.index(a)], values[:, names.index(b)]])

@@ -29,40 +29,6 @@ ORACLE_MAX_N = 14
 
 
 @dataclass(frozen=True)
-class OpTable:
-    """A tabulated k-ary operation: flat row-major array of length n^k.
-
-    The entries are copied on construction and the copy is marked read-only."""
-
-    arity: int
-    base: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.int64, order="C").reshape(-1)
-        if entries.size != self.base ** self.arity:
-            raise ValueError("entry count must be base**arity")
-        if entries.size and (entries.min() < 0 or entries.max() >= self.base):
-            raise ValueError("entry out of range")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    def as_array(self) -> np.ndarray:
-        return self.entries.reshape((self.base,) * self.arity)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OpTable)
-            and self.arity == other.arity
-            and self.base == other.base
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    def __hash__(self):
-        return hash((self.arity, self.base, self.entries.tobytes()))
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
     """Spectrum values s(1)..s(maxN) with the equal-function classes.
 
@@ -74,20 +40,21 @@ class SpectrumReport:
     classes: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def term_function(g: Groupoid, t: Term, variables=None) -> OpTable:
-    """Tabulate the term function t induces on g.
+def term_function(g: Groupoid, t: Term, variables=None) -> np.ndarray:
+    """Tabulate the term function t induces on g as a read-only int64 array.
 
-    Axes follow ``variables``, or the order of first occurrence in t
-    when it is None.  More than ``terms.DEFAULT_BUDGET`` assignments
-    (|A|^k for k variables) raise GuardError before any work, as in
-    ``satisfies_identity``.
+    One axis of length |A| per variable, in the order of ``variables``,
+    or of first occurrence in t when it is None.  More than
+    ``terms.DEFAULT_BUDGET`` assignments (|A|^k for k variables) raise
+    GuardError before any work, as in ``satisfies_identity``.
     """
     names = t.variables if variables is None else tuple(variables)
     k = len(names)
     guard_assignments(g.n, k)
     arr = gather_term(t, axis_env(names, g.n), g, g.table)
-    full = np.broadcast_to(arr, (g.n,) * k)
-    return OpTable(k, g.n, full.reshape(-1))
+    table = np.array(np.broadcast_to(arr, (g.n,) * k), dtype=np.int64, order="C")
+    table.flags.writeable = False
+    return table
 
 
 def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumReport:

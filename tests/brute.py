@@ -16,4 +16,4 @@ def group_bracketings(n, key):
 def spectrum_classes(g, n):
     """The equal-function classes of size n on g, keyed by each bracketing's
     whole int64 term-function table."""
-    return group_bracketings(n, lambda b: term_function(g, b).entries.tobytes())
+    return group_bracketings(n, lambda b: term_function(g, b).tobytes())

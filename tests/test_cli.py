@@ -134,6 +134,14 @@ def test_search_identity_instance_guard_exits_2_before_scanning(capsys):
     assert "identity instances" in err
 
 
+@pytest.mark.parametrize("argv", [["--satisfy", "left_eq_right:70"], ["--idempotent", "--satisfy", "nulla:200"]])
+def test_search_size1_with_more_than_64_variables(capsys, argv):
+    code, out, err = run(capsys, "search", "--size", "1", *argv, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["total"], doc["satisfying"], doc["violations"]) == (1, 1, 0)
+
+
 def test_search_bad_scheme(capsys):
     code, _, err = run(capsys, "search", "--size", "3", "--satisfy", "zig:4")
     assert code == 2 and "bad scheme" in err

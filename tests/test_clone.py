@@ -52,7 +52,7 @@ def test_clone_part_g1():
     assert len(part) == 4
     # e1, e2, the product, and its dual
     assert part.names[part.basic_index] == "(x y)"
-    duals = {op.entries.tobytes() for op in part.ops}
+    duals = {op.table.tobytes() for op in part.ops}
     swapped = np.ascontiguousarray(cat("G1").table.T).reshape(-1).tobytes()
     assert swapped in duals
 
@@ -76,7 +76,7 @@ def test_clone_part_basic_is_e1_e2_product():
         g = cat(name)
         part = binary_clone_part(g)
         assert part.products[0, 1] == part.basic_index
-        assert np.array_equal(part.ops[part.basic_index].as_array(), g.table)
+        assert np.array_equal(part.ops[part.basic_index].table, g.table)
 
 
 def test_f2_fixed_point_propd():
@@ -273,3 +273,20 @@ def test_witness_subset_past_the_partition_cap():
 def test_binary_term_table_validates_vars():
     with pytest.raises(ValueError, match="x and y"):
         binary_term_table(cat("G1"), parse_term("(x z)"))
+
+
+def test_binary_term_table_is_a_groupoid_on_the_same_elements():
+    g = cat("aba-4")
+    op = binary_term_table(g, parse_term("(x (y x))"))
+    assert op.names == g.names
+    assert binary_term_table(g, parse_term("(x y)")) == g
+
+
+def test_suspect_on_another_carrier_is_refused():
+    g = cat("aba-4")
+    for suspect in (binary_term_table(cat("G1"), parse_term("(x y)")), LEFT_ZERO, min_chain(g.n + 1)):
+        assert suspect.n != g.n
+        with pytest.raises(ValueError, match="^suspect must be a binary op on the same carrier$"):
+            generates_basic(g, suspect)
+        with pytest.raises(ValueError, match="^suspect must be a binary op on the same carrier$"):
+            find_relational_witness(g, suspect)

@@ -112,6 +112,17 @@ def test_groupoid_copies_the_callers_table():
         assert not made.table.flags.writeable
 
 
+def test_groupoid_validation():
+    with pytest.raises(ValueError, match="table must be 2x2"):
+        Groupoid(("a", "b"), np.zeros(4))
+    with pytest.raises(ValueError, match="table must be 2x2"):
+        Groupoid(("a", "b"), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="out of range"):
+        Groupoid(("a", "b"), [[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="out of range"):
+        Groupoid(("a", "b"), [[0, 1], [-1, 0]])
+
+
 # --- dual --------------------------------------------------------------------
 
 def test_dual_involution_catalog():

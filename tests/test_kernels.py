@@ -21,12 +21,12 @@ from grpd import claims, clone, nonassoc, search, terms
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness, generates_basic
 from grpd.core import (
-    Groupoid, SubsetWitness, dual, find_isomorphism, generate_subuniverse, generated_congruence, partition_preserved_by,
+    Groupoid, SubsetWitness, dual, find_isomorphism, generate_subuniverse, generated_congruence, is_congruence,
 )
 from grpd.errors import GuardError
 from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
 from grpd.search import CHECKS, search_tables
-from grpd.spectrum import OpTable, spectrum
+from grpd.spectrum import spectrum
 from grpd.terms import Identity, eval_term, evaluate, is_semigroup, parse_identity, prod, satisfies_identity, var
 
 from brute import spectrum_classes
@@ -324,7 +324,7 @@ def test_deep_identity_check_holds_a_few_block_arrays():
 @settings(max_examples=60, deadline=None)
 @given(tables, terms_over("xy"))
 def test_binary_term_table_matches_pointwise(g, term):
-    op = binary_term_table(g, term).as_array()
+    op = binary_term_table(g, term).table
     for x, y in itertools.product(range(g.n), repeat=2):
         assert op[x, y] == evaluate(term, g, {"x": x, "y": y})
 
@@ -338,7 +338,7 @@ def test_partition_compatibility_matches_pairwise(case):
     ids = p.block_ids()
     pairs = [(a, b) for a, b in itertools.product(range(g.n), repeat=2) if ids[a] == ids[b]]
     want = all(ids[g.prod(a, b)] == ids[g.prod(a2, b2)] for a, a2 in pairs for b, b2 in pairs)
-    assert partition_preserved_by(g.table, p) == want
+    assert is_congruence(g, p) == want
 
 
 def finer(p, q):
@@ -353,13 +353,13 @@ def finer(p, q):
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))))
 def test_generated_congruence_is_the_finest_preserved_partition_holding_the_pairs(case):
     g, pairs = case
-    theta = generated_congruence(g.table, pairs)
+    theta = generated_congruence(g, pairs)
     ids = theta.block_ids()
     assert all(ids[a] == ids[b] for a, b in pairs)
-    assert partition_preserved_by(g.table, theta)
+    assert is_congruence(g, theta)
     for p in all_partitions(g.n):
         p_ids = p.block_ids()
-        if partition_preserved_by(g.table, p) and all(p_ids[a] == p_ids[b] for a, b in pairs):
+        if is_congruence(g, p) and all(p_ids[a] == p_ids[b] for a, b in pairs):
             assert finer(theta, p)
 
 
@@ -370,7 +370,7 @@ def test_generated_congruence_is_the_finest_preserved_partition_holding_the_pair
 def test_separating_congruences_match_the_filtered_partitions(case):
     g, x, y = case
     want = [p for p in all_partitions(g.n)
-            if 1 < len(p.blocks) < g.n and p.block_ids()[x] != p.block_ids()[y] and partition_preserved_by(g.table, p)]
+            if 1 < len(p.blocks) < g.n and p.block_ids()[x] != p.block_ids()[y] and is_congruence(g, p)]
     assert claims._separating_congruences(g, x, y) == want
 
 
@@ -379,7 +379,7 @@ def replaced_relational_witness(g, suspect):
     then all partitions in restricted-growth order, filtered once for each
     block count from n-1 down to 2, each tested pairwise."""
     n = g.n
-    s, f = suspect.as_array(), g.table
+    s, f = suspect.table, g.table
 
     def closed(t, members):
         return all(t[a, b] in members for a in members for b in members)
@@ -524,8 +524,8 @@ def test_clone_closure_matches_pairwise_reference(g):
     assert len(done) == m * m
     basic = g.table
     for i, j in itertools.product(range(m), repeat=2):
-        composed = basic[part.ops[i].as_array(), part.ops[j].as_array()]
-        assert part.ops[part.products[i, j]].as_array().tolist() == composed.tolist()
+        composed = basic[part.ops[i].table, part.ops[j].table]
+        assert part.ops[part.products[i, j]].table.tolist() == composed.tolist()
     assert (part.products >= 0).all()
 
 
@@ -544,10 +544,10 @@ def test_generates_basic_matches_reference_closure(g, data):
                 return
             h = data.draw(st.sampled_from(ops))
         else:
-            h = OpTable(2, g.n, data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n ** 2, max_size=g.n ** 2)))
+            h = groupoid_of(g.n, data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n ** 2, max_size=g.n ** 2)))
         found = []
         try:
-            reference_closure(groupoid_of(g.n, h.entries), guard, found)
+            reference_closure(h, guard, found)
             guarded = False
         except GuardError:
             guarded = True

@@ -366,6 +366,14 @@ def test_identity_instance_guard(monkeypatch):
         search_tables(3, True, [scheme_identity("left_eq_right", 3)] * 2)
 
 
+def test_identities_of_more_than_64_variables_on_one_element():
+    # one instance each, though numpy arrays have at most 64 axes
+    for idempotent_only, ident in ((False, scheme_identity("left_eq_right", 70)), (True, scheme_identity("nulla", 200))):
+        assert len(ident.variables) > 64
+        summary = search_tables(1, idempotent_only, [ident])
+        assert (summary.total, summary.satisfying, summary.violations) == (1, 1, 0)
+
+
 def test_unknown_check():
     with pytest.raises(ValueError, match="unknown check"):
         search_tables(3, True, [], check="bogus")

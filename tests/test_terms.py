@@ -155,7 +155,7 @@ def test_term_function_and_identity_check_share_the_budget_boundary(monkeypatch)
     g = cat("G3")
     ident = parse_identity("((x y) z) = (x (y z))")
     monkeypatch.setattr(terms, "DEFAULT_BUDGET", g.n ** 3)
-    assert term_function(g, ident.lhs).entries.size == g.n ** 3
+    assert term_function(g, ident.lhs).size == g.n ** 3
     assert satisfies_identity(g, ident)[0] is False
     monkeypatch.setattr(terms, "DEFAULT_BUDGET", g.n ** 3 - 1)
     messages = []
