@@ -21,6 +21,7 @@ stops as soon as f turns up.  A pass does NOT prove minimality
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -39,20 +40,24 @@ WITNESS_MAX_N = 20
 class BinaryClonePart:
     """The arity-2 term operations of ``groupoid``'s clone.
 
-    Each op is a groupoid on ``groupoid``'s elements; ``ops[0]``/``ops[1]``
-    are the projections and ``basic_index`` locates the basic operation f.
-    ``products[i, j]`` is the index of f(ops[i], ops[j]), the table the
-    closure filled in as it composed.
+    ``tables[i]`` is op i's table in the closure's dtype, and ``ops[i]`` the op
+    as a groupoid on ``groupoid``'s elements, built on first use.  ``ops[0]`` and
+    ``ops[1]`` are the projections and ``basic_index`` locates the basic operation
+    f.  ``products[i, j]`` is the index of f(ops[i], ops[j]), filled in as composed.
     """
 
     groupoid: Groupoid
-    ops: tuple[Groupoid, ...]
+    tables: np.ndarray
     names: tuple[str, ...]
     basic_index: int
     products: np.ndarray
 
+    @cached_property
+    def ops(self) -> tuple[Groupoid, ...]:
+        return tuple(Groupoid(self.groupoid.names, table) for table in self.tables)
+
     def __len__(self):
-        return len(self.ops)
+        return len(self.tables)
 
 
 def _close_under(combiner: np.ndarray, stop: bytes | None = None):
@@ -106,9 +111,9 @@ def _close_under(combiner: np.ndarray, stop: bytes | None = None):
 def binary_clone_part(g: Groupoid) -> BinaryClonePart:
     """Compute the binary part of Clo(g) with term names for each op."""
     ops, names, products = _close_under(g.narrow_table)
-    products.flags.writeable = False
-    ops = tuple(Groupoid(g.names, op.reshape(g.n, g.n)) for op in ops)
-    return BinaryClonePart(g, ops, tuple(names), int(products[0, 1]), products)
+    tables = ops.reshape(-1, g.n, g.n)
+    tables.flags.writeable = products.flags.writeable = False
+    return BinaryClonePart(g, tables, tuple(names), int(products[0, 1]), products)
 
 
 def f2_table(part: BinaryClonePart) -> Groupoid:

@@ -191,23 +191,26 @@ def is_idempotent(g: Groupoid) -> bool:
 
 def generate_subuniverse(g: Groupoid, seeds) -> frozenset[int]:
     """Smallest superset of ``seeds`` closed under the product."""
-    seeds = set(seeds)
+    seeds = list(set(seeds))
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if any(not (0 <= s < g.n) for s in seeds):
         raise ValueError("seed index out of range")
-    closed = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in closed:
-                new.add(g.prod(a, b))
-                new.add(g.prod(b, a))
-        new -= closed
-        closed |= new
-        frontier = list(new)
-    return frozenset(closed)
+    return frozenset(subuniverse_mask(g, np.zeros(g.n, bool), seeds).nonzero()[0].tolist())
+
+
+def subuniverse_mask(g: Groupoid, closed: np.ndarray, seeds) -> np.ndarray:
+    """The mask of the subuniverse generated by ``seeds`` (maybe none) and the one masked by
+    ``closed``.  Each round multiplies only the frontier, the elements new in the round
+    before, by the set so far, both ways, so no element enters a frontier twice."""
+    mask = closed.copy()
+    mask[seeds] = True
+    frontier = (mask ^ closed).nonzero()[0]
+    while frontier.size:
+        inside, before = mask.nonzero()[0], mask.copy()
+        mask[g.table[frontier[:, None], inside]] = mask[g.table[inside[:, None], frontier]] = True
+        frontier = (mask ^ before).nonzero()[0]
+    return mask
 
 
 def generated_congruence(g: Groupoid, pairs) -> Partition:

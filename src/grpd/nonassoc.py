@@ -1,17 +1,23 @@
-"""Index of nonassociativity and single-defect (SH) groupoid analysis.
+"""Associativity, the index of nonassociativity and single-defect (SH) analysis.
 
 The index counts the triples (a,b,c) with (ab)c != a(bc).  A groupoid
 with exactly one such triple is an SH-groupoid; it is minimal when the
-triple generates the whole carrier.
+triple generates the whole carrier.  Light's test (Clifford & Preston,
+*The Algebraic Theory of Semigroups* I, section 1.2, 1961) decides
+associativity from the middles b in a generating set: the b with
+(ab)c = a(bc) for all a, c are closed under the product.  The defects at
+a depend only on row a, so the census counts each distinct row once.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .core import Groupoid, generate_subuniverse
+from .core import Groupoid, generate_subuniverse, subuniverse_mask
 
 TRIPLE_LIST_CAP = 1000
 # Cube cells per block of the table-wide kernels: the defect census, the
@@ -40,44 +46,66 @@ class ShReport:
     minimal_sh: bool | None = None
 
 
-def defect_slabs(g: Groupoid):
-    """Yield (a0, mask) per slab of rows of a: mask[k, b, c] is ((a0+k)b)c != (a0+k)(bc).
+def defect_slabs(g: Groupoid, rows=None, middles=None):
+    """Yield (lo, mask) per slab of the rows of a: mask[k, j, c] is (ab)c != a(bc)
+    for a = rows[lo + k] and b = middles[j], each every element when None.
 
-    Both sides are ``take`` gathers from ``g.narrow_table``, 1 or 2 bytes per
-    cell, not 8: (ab)c copies whole rows of the table, a(bc) reads each slab
-    row through the table."""
+    Both sides are ``take`` gathers from ``g.narrow_table``, 1 or 2 bytes per cell,
+    not 8: (ab)c copies whole rows of the table, a(bc) reads each slab row through
+    the middles' rows.  A slab holds at most ``SLAB_CELLS`` cells, or one row of a."""
     t = g.narrow_table
-    rows = max(1, SLAB_CELLS // (g.n * g.n))
-    for a0 in range(0, g.n, rows):
-        slab = t[a0:a0 + rows]
-        yield a0, t.take(slab, axis=0) != slab.take(t, axis=1)
+    left = t if rows is None else t[rows]
+    right = t if middles is None else t[middles]
+    products = left if middles is None else left[:, middles]
+    step = max(1, SLAB_CELLS // (len(right) * g.n))
+    for lo in range(0, len(left), step):
+        yield lo, t.take(products[lo:lo + step], axis=0) != left[lo:lo + step].take(right, axis=1)
 
 
-def _classify(a: int, b: int, c: int) -> str:
-    if a == b == c:
-        return "aaa"
-    if a == c != b:
-        return "aba"
-    if a == b != c:
-        return "aab"
-    if b == c != a:
-        return "abb"
-    return "abc"
+def generating_set(g: Groupoid) -> list[int]:
+    """The elements outside the table's image, which every generating set
+    holds, then each least element outside the subuniverse generated so far."""
+    gens = np.flatnonzero(np.bincount(g.table.ravel(), minlength=g.n) == 0).tolist()
+    closed = subuniverse_mask(g, np.zeros(g.n, bool), gens)
+    while not closed.all():
+        gens.append(int(np.argmin(closed)))
+        closed = subuniverse_mask(g, closed, gens[-1:])
+    return gens
+
+
+def is_semigroup(g: Groupoid) -> bool:
+    """Associativity: no nonassociative triple.  Above one slab (n^3 >
+    ``SLAB_CELLS``) by Light's test over the middles in ``generating_set``;
+    at or below it over every middle, in the one slab."""
+    middles = generating_set(g) if g.n ** 3 > SLAB_CELLS else None
+    return not any(mask.any() for _, mask in defect_slabs(g, middles=middles))
 
 
 def ns_index(g: Groupoid) -> ShReport:
-    """Exhaustive count of nonassociative triples over the cube."""
-    count, listed = 0, []
-    for a0, mask in defect_slabs(g):
-        count += int(np.count_nonzero(mask))
-        if len(listed) < TRIPLE_LIST_CAP:
-            found = np.flatnonzero(mask)[:TRIPLE_LIST_CAP - len(listed)] + a0 * g.n * g.n
-            listed += zip(*(axis.tolist() for axis in np.unravel_index(found, (g.n,) * 3)))
+    """Exact count of nonassociative triples, listed in index order.  Above one slab
+    a table passing Light's test (``is_semigroup``) has none.  Otherwise each distinct
+    row is censused once; a repeated row counts again and lists its first's triples."""
+    n = g.n
+    if n ** 3 > SLAB_CELLS and is_semigroup(g):
+        return ShReport(0, ())
+    first = {}
+    rep = [first.setdefault(key, a) for a, key in enumerate(g.table.view(f"V{8 * n}").ravel().tolist())]
+    rows, repeats = list(first.values()), Counter(rep)
+    count, found, seen = 0, defaultdict(list), 0
+    for lo, mask in defect_slabs(g, rows=rows if len(rows) < n else None):
+        slab_rows = rows[lo:lo + len(mask)]
+        count += int(np.count_nonzero(mask)) + sum(
+            (repeats[r] - 1) * int(np.count_nonzero(m)) for r, m in zip(slab_rows, mask) if repeats[r] > 1)
+        if seen < TRIPLE_LIST_CAP:
+            ks, bcs = np.divmod(np.flatnonzero(mask)[:TRIPLE_LIST_CAP - seen], n * n)
+            for k, bc in zip(ks.tolist(), bcs.tolist()):
+                found[slab_rows[k]].append(bc)
+            seen += len(bcs)
+    listed = list(islice(((a, *divmod(bc, n)) for a in range(n) for bc in found[rep[a]]), TRIPLE_LIST_CAP))
     sh_type = minimal = None
     if count == 1:
-        a, b, c = listed[0]
-        sh_type = _classify(a, b, c)
-        minimal = generate_subuniverse(g, {a, b, c}) == frozenset(range(g.n))
+        sh_type = "".join("abc"[list(dict.fromkeys(listed[0])).index(x)] for x in listed[0])
+        minimal = generate_subuniverse(g, set(listed[0])) == frozenset(range(n))
     return ShReport(count, tuple(listed), sh_type, minimal)
 
 

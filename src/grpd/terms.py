@@ -21,6 +21,7 @@ import numpy as np
 from . import nonassoc
 from .core import Groupoid
 from .errors import GuardError, ParseError
+from .nonassoc import is_semigroup
 
 DEFAULT_BUDGET = 10 ** 8  # assignments of one term function or identity check
 MAX_IDENTITY_VARS = 8
@@ -227,8 +228,10 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
     Returns (True, None), or (False, witness) with the lexicographically
     first failing assignment (variables ordered by first occurrence,
     lhs before rhs).  More than ``DEFAULT_BUDGET`` assignments (n^v)
-    raise GuardError before any work (``guard_assignments``).  Each
-    block of assignments spans the trailing variables that fit in
+    raise GuardError before any work (``guard_assignments``).  Associativity,
+    renamed or either side first, holds iff ``is_semigroup`` (by Light's test
+    above one slab) says so, and only a failure is scanned for its witness.
+    Each block of assignments spans the trailing variables that fit in
     ``nonassoc.SLAB_CELLS`` cells (the last two of any 3-variable check
     within the budget), and the leading variables are looped, and no
     subterm is cached, so a block holds a few arrays at a time however
@@ -242,6 +245,8 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
         raise GuardError(f"identity check capped at {MAX_IDENTITY_VARS} variables")
     n = g.n
     guard_assignments(n, v)
+    if v == 3 and _is_associativity(ident, variables) and is_semigroup(g):
+        return True, None
 
     suffix = 0
     while suffix < v and n ** (suffix + 1) <= nonassoc.SLAB_CELLS:
@@ -266,6 +271,13 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
                 flat //= n
             return False, {name: witness[name] for name in variables}
     return True, None
+
+
+def _is_associativity(ident: Identity, variables) -> bool:
+    """Is ``ident``, in three ``variables`` in order of first occurrence,
+    associativity in them, either side first?"""
+    a, b, c = variables
+    return {term_to_string(ident.lhs), term_to_string(ident.rhs)} == {f"(({a} {b}) {c})", f"({a} ({b} {c}))"}
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +391,9 @@ def predicate(view: dict, key: str, column: str) -> Callable[[Groupoid], bool]:
 
 
 def _holds_all(g: Groupoid, texts, p: int | None = None) -> bool:
-    """Every identity holds; associativity is decided by ``is_semigroup``
-    and Cp's power identity takes ``p``."""
+    """Every identity holds; Cp's power identity takes ``p``."""
     power = Identity(_left_assoc_term(["x"] + ["y"] * p), var("x")) if p is not None else None
-    return all(is_semigroup(g) if t == ASSOCIATIVITY
-               else satisfies_identity(g, power if t == _POWER else _ident(t))[0]
-               for t in texts)
+    return all(satisfies_identity(g, power if t == _POWER else _ident(t))[0] for t in texts)
 
 
 def _predicate(key: str, column: str = "check") -> Callable[[Groupoid], bool]:
@@ -397,11 +406,6 @@ def _predicate(key: str, column: str = "check") -> Callable[[Groupoid], bool]:
     holds.__name__ = holds.__qualname__ = key
     holds.__doc__ = f"Membership in {v.name}: {'; '.join(v.identities)}{' and its scheme' if v.scheme else ''}."
     return holds
-
-
-def is_semigroup(g: Groupoid) -> bool:
-    """Associativity: no nonassociative triple in the whole table."""
-    return not any(mask.any() for _, mask in nonassoc.defect_slabs(g))
 
 
 is_left_zero = _predicate("is_left_zero")

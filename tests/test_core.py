@@ -16,12 +16,14 @@ from grpd.core import (
     is_idempotent,
     parse_groupoid,
     quotient,
+    subuniverse_mask,
     write_groupoid,
 )
 from grpd.errors import GuardError, ParseError
 from grpd.nonassoc import ns_index
 from grpd.spectrum import spectrum
 
+import brute
 from partitions import all_partitions
 
 
@@ -177,6 +179,22 @@ def test_subuniverse_monotone_idempotent(g, data):
     bigger = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
     if seeds <= bigger:
         assert closed <= generate_subuniverse(g, bigger)
+
+
+@settings(max_examples=150, deadline=None)
+@given(groupoids(max_n=8), st.data())
+def test_subuniverse_matches_python_closure(g, data):
+    elements = st.integers(0, g.n - 1)
+    seeds = data.draw(st.sets(elements, min_size=1, max_size=g.n))
+    assert generate_subuniverse(g, seeds) == brute.subuniverse(g, seeds)
+    # grown from a subuniverse by more seeds, maybe none, maybe repeated or inside it
+    inside = brute.subuniverse(g, data.draw(st.sets(elements, max_size=g.n)))
+    more = data.draw(st.lists(elements, max_size=4))
+    closed = np.isin(np.arange(g.n), list(inside))
+    before = closed.copy()
+    grown = subuniverse_mask(g, closed, more)
+    assert frozenset(np.flatnonzero(grown).tolist()) == brute.subuniverse(g, inside | set(more))
+    assert np.array_equal(closed, before)
 
 
 # --- partitions --------------------------------------------------------------

@@ -2,11 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grpd import nonassoc
 from grpd.catalog import catalog_get, catalog_list
 from grpd.core import Groupoid, dual, parse_groupoid
-from grpd.nonassoc import check_sh_factor_property, ns_index
-from grpd.terms import is_semigroup
+from grpd.nonassoc import TRIPLE_LIST_CAP, check_sh_factor_property, generating_set, ns_index
+from grpd.terms import is_semigroup, parse_identity, satisfies_identity
+
+import brute
 
 
 def cat(name):
@@ -104,6 +109,7 @@ def test_ns_zero_iff_semigroup():
     for name in catalog_list():
         g = cat(name)
         assert (ns_index(g).ns_count == 0) == is_semigroup(g)
+        assert ns_index(g).ns_count == ns_oracle(g)
     cells = [(i, j) for i in range(3) for j in range(3) if i != j]
     for values in itertools.product(range(3), repeat=6):
         table = np.zeros((3, 3), dtype=int)
@@ -113,6 +119,7 @@ def test_ns_zero_iff_semigroup():
             table[i, j] = v
         g = Groupoid(("a", "b", "c"), table)
         assert (ns_index(g).ns_count == 0) == is_semigroup(g)
+        assert ns_index(g).ns_count == ns_oracle(g)
 
 
 def test_ns_dual_invariant():
@@ -131,3 +138,125 @@ def test_triple_listing_cap():
     assert rep.ns_count == ns_oracle(g)
     if rep.ns_count > TRIPLE_LIST_CAP:
         assert len(rep.triples) == TRIPLE_LIST_CAP
+
+
+# --- Light's test and the census over distinct rows ---------------------------
+
+# associativity, renamed with its sides swapped: x, y, z are its third,
+# first and second variables in order of first occurrence
+ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
+RENAMED = parse_identity("(y (z x)) = ((y z) x)")
+
+
+def answers(g):
+    """is_semigroup, the census and the associativity checks, as the CLI reads them."""
+    rep = ns_index(g)
+    return (is_semigroup(g), rep.ns_count, rep.triples, rep.sh_type, rep.minimal_sh,
+            satisfies_identity(g, ASSOCIATIVITY), satisfies_identity(g, RENAMED))
+
+
+def light_path_answers(g, slab_cells=0):
+    """``answers`` with ``n^3 > SLAB_CELLS``, so Light's test decides associativity."""
+    assert g.n ** 3 > slab_cells
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonassoc, "SLAB_CELLS", slab_cells)
+        return answers(g)
+
+
+def brute_answers(g, defects):
+    """``answers`` from the (a, b, c) with (ab)c != a(bc), in index order."""
+    sh_type = minimal = None
+    if len(defects) == 1:
+        sh_type = brute.sh_type(defects[0])
+        minimal = brute.subuniverse(g, defects[0]) == frozenset(range(g.n))
+    if not defects:
+        return True, 0, (), None, None, (True, None), (True, None)
+    a, b, c = defects[0]
+    return (False, len(defects), tuple(defects[:TRIPLE_LIST_CAP]), sh_type, minimal,
+            (False, {"x": a, "y": b, "z": c}), (False, {"y": a, "z": b, "x": c}))
+
+
+def groupoid_of(n, cells):
+    return Groupoid(tuple(str(i) for i in range(n)), np.asarray(cells).reshape(n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+                                 .map(lambda cells: groupoid_of(n, cells))))
+def test_light_path_matches_triple_loop(g):
+    assert light_path_answers(g) == brute_answers(g, brute.defect_triples(g))
+
+
+def test_light_path_matches_triple_loop_on_every_3_element_table(monkeypatch):
+    # all 3^9 tables, with 27 > SLAB_CELLS; the brute-force defects of all of
+    # them in one cube
+    monkeypatch.setattr(nonassoc, "SLAB_CELLS", 9)
+    t = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
+    k = np.arange(len(t))[:, None, None, None]
+    a, b, c = np.indices((3, 3, 3))
+    defective = t[k, t[k, a, b], c] != t[k, a, t[k, b, c]]
+    for cells, mask in zip(t, defective):
+        g = groupoid_of(3, cells)
+        assert answers(g) == brute_answers(g, list(map(tuple, np.argwhere(mask).tolist())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+                                 .map(lambda cells: groupoid_of(n, cells))))
+def test_generating_set_generates_and_holds_every_element_outside_the_image(g):
+    gens = generating_set(g)
+    assert len(set(gens)) == len(gens)
+    assert set(range(g.n)) - set(g.table.flat) <= set(gens)
+    assert brute.subuniverse(g, gens) == frozenset(range(g.n))
+
+
+# semigroups on {0..n-1}, each by its product
+SEMIGROUPS = {
+    "cyclic": lambda a, b, n: (a + b) % n,
+    "left-zero": lambda a, b, n: a + 0 * b,
+    "right-zero": lambda a, b, n: b + 0 * a,
+    "null": lambda a, b, n: 0 * a * b,
+    "max": lambda a, b, n: np.maximum(a, b),
+    "mult": lambda a, b, n: (a * b) % n,
+}
+
+
+def relabelled(kind, n, changed, seed):
+    """A semigroup of SEMIGROUPS relabelled at random, with ``changed`` cells given other values."""
+    rng = np.random.default_rng(seed)
+    a, b = np.indices((n, n))
+    perm = rng.permutation(n)
+    t = np.empty((n, n), dtype=np.int64)
+    t[np.ix_(perm, perm)] = perm[SEMIGROUPS[kind](a, b, n)]
+    for _ in range(changed):
+        i, j = rng.integers(n, size=2)
+        t[i, j] = (t[i, j] + rng.integers(1, n)) % n
+    return groupoid_of(n, t)
+
+
+def census_answers(g):
+    return brute_answers(g, list(map(tuple, np.argwhere(brute.defect_cube(g)).tolist())))
+
+
+@pytest.mark.parametrize("n", [65, 70, 97, 128])
+@pytest.mark.parametrize("kind", sorted(SEMIGROUPS))
+def test_answers_above_one_slab_match_the_full_census(kind, n):
+    # 65^3 > SLAB_CELLS: Light's test decides associativity at every n here
+    assert n ** 3 > nonassoc.SLAB_CELLS
+    semigroup = relabelled(kind, n, 0, n)
+    assert answers(semigroup) == brute_answers(semigroup, [])
+    for changed in (1, 2):
+        g = relabelled(kind, n, changed, n)
+        assert answers(g) == census_answers(g)
+
+
+def test_answers_at_300_elements_match_the_full_census():
+    # past 256 elements the narrow table is uint16
+    z300 = relabelled("cyclic", 300, 0, 300)
+    assert z300.narrow_table.dtype == np.uint16
+    assert answers(z300) == brute_answers(z300, [])
+    g = relabelled("cyclic", 300, 1, 300)
+    assert g.narrow_table.dtype == np.uint16
+    got = answers(g)
+    assert got == census_answers(g)
+    assert got[1] > 0
