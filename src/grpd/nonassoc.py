@@ -20,14 +20,14 @@ import numpy as np
 from .core import Groupoid, generate_subuniverse, subuniverse_mask
 
 TRIPLE_LIST_CAP = 1000
-# Cube cells per block of the table-wide kernels: the defect census, the
-# identity check and the spectrum's top level, whose slabs hold at most
-# this many cells of each candidate table, or one row of x1 when a row is
-# larger.  A defect slab's two gathered sides (1 or 2 bytes a cell) and
-# its mask take about 1.3 MB, so they stay in a 4 MB L2.  Floor: at least
-# n^2 for every n with n^3 within terms.DEFAULT_BUDGET, so a 3-variable
-# identity check keeps its two trailing variables in one block and loops
-# only the first.
+# Cube cells per block of the table-wide kernels: the defect census, the identity
+# check and the spectrum's top level, whose slabs hold at most this many cells of
+# each candidate table, or one row of x1 when a row is larger.  A defect slab's two
+# gathered sides (1 or 2 bytes a cell) and its mask take about 1.3 MB, so they stay
+# in a 4 MB L2; the census's two index arrays, cast to writeable intp once per call,
+# hold n^2 x 8 bytes each.  Floor: at least n^2 for every n with n^3 within
+# terms.DEFAULT_BUDGET, so a 3-variable identity check keeps its two trailing
+# variables in one block and loops only the first.
 SLAB_CELLS = 1 << 18
 
 
@@ -52,11 +52,13 @@ def defect_slabs(g: Groupoid, rows=None, middles=None):
 
     Both sides are ``take`` gathers from ``g.narrow_table``, 1 or 2 bytes per cell,
     not 8: (ab)c copies whole rows of the table, a(bc) reads each slab row through
-    the middles' rows.  A slab holds at most ``SLAB_CELLS`` cells, or one row of a."""
+    the middles' rows.  A slab holds at most ``SLAB_CELLS`` cells, or one row of a.
+    ``take`` copies a non-intp or read-only index on every call, so the indexes ``right``
+    and ``products`` are cast to fresh intp arrays once per call, n^2 x 8 bytes each at most."""
     t = g.narrow_table
     left = t if rows is None else t[rows]
-    right = t if middles is None else t[middles]
-    products = left if middles is None else left[:, middles]
+    right = (t if middles is None else t[middles]).astype(np.intp)
+    products = (left if middles is None else left[:, middles]).astype(np.intp)
     step = max(1, SLAB_CELLS // (len(right) * g.n))
     for lo in range(0, len(left), step):
         yield lo, t.take(products[lo:lo + step], axis=0) != left[lo:lo + step].take(right, axis=1)

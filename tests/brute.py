@@ -1,11 +1,42 @@
 """Brute-force references for the tests: the spectrum with every bracketing
-tabulated on its own, then grouped; subuniverses closed in Python sets; and
-the defects of associativity by a pointwise triple loop."""
+tabulated on its own, then grouped; subuniverses closed in Python sets; the
+defects of associativity by a pointwise triple loop; and the .gpd reader that
+splits each row into Python strings."""
 
 import numpy as np
 
 from grpd.bracketings import enumerate_bracketings
+from grpd.core import Groupoid
+from grpd.errors import ParseError
 from grpd.spectrum import term_function
+
+
+def parse_groupoid(text):
+    """The .gpd reader row by row: ``str.split`` on each row and a dict from
+    name to index, stopping at the first row of a wrong length or with an
+    unknown token."""
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
+    if not lines:
+        raise ParseError("empty document")
+    names = tuple(lines[0].split())
+    n = len(names)
+    if len(set(names)) != n:
+        dupe = next(nm for nm in names if names.count(nm) > 1)
+        raise ParseError(f"duplicate element name {dupe!r}")
+    rows = lines[1:]
+    if len(rows) != n:
+        raise ParseError(f"expected {n} table rows, got {len(rows)}")
+    index = {nm: i for i, nm in enumerate(names)}
+    table = np.zeros((n, n), dtype=np.int64)
+    for i, row in enumerate(rows):
+        tokens = row.split()
+        if len(tokens) != n:
+            raise ParseError(f"row length mismatch in row {i + 1}: expected {n} entries, got {len(tokens)}")
+        try:
+            table[i] = [index[tok] for tok in tokens]
+        except KeyError as exc:
+            raise ParseError(f"unknown element {exc.args[0]!r} in row {i + 1}") from None
+    return Groupoid(names, table)
 
 
 def group_bracketings(n, key):

@@ -156,6 +156,22 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("a a\na a\na a\n".encode(), "duplicate element name 'a'"),
+    (b"# only a comment\n\n", "empty document"),
+    ("a b\na b\n".encode(), "expected 2 table rows, got 1"),
+    ("a b\na b\nb a b\n".encode(), "row length mismatch in row 2: expected 2 entries, got 3"),
+    ("é b\né b\nb é\u3000# é\nb\n".encode(), "expected 2 table rows, got 3"),
+    ("é b\né q\nb é\n".encode(), "unknown element 'q' in row 1"),
+    ("é b\né b\nb éé\n".encode(), "unknown element 'éé' in row 2"),
+    (b"a b\na b\nb \xff\n", "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+], ids=["duplicate-name", "empty", "too-few-rows", "long-row", "too-many-rows", "unknown", "unknown-longer-than-every-name", "not-utf-8"])
+def test_parse_errors_exit_2_with_the_message_alone(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.gpd"
+    path.write_bytes(content)
+    assert run(capsys, "ns", str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_verify_paper_fast(capsys):
     code, out, _ = run(capsys, "verify-paper", "--json")
     assert code == 0

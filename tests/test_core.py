@@ -1,10 +1,13 @@
 import itertools
+import string
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grpd import core
 from grpd.catalog import catalog_get, catalog_list
 from grpd.core import (
     Groupoid,
@@ -83,6 +86,92 @@ def test_parse_errors():
     assert message("a b\na q\nb\n") == "unknown element 'q' in row 1"
     assert message("a b\na a\n") == "expected 2 table rows, got 1"
     assert message("a b c\na a a\nb b b\nc c c\na a a\n") == "expected 3 table rows, got 4"
+
+
+# Names mix one-byte, multi-byte and NUL characters and are often prefixes of
+# one another; entries in a row are parted by the separators that do not end a
+# line, rows end with those that do (str.splitlines).
+NAME_CHARS = "ab\x00é日\U0001f600"
+ROW_SEPARATORS = (" ", "\t", "\x1f", "\xa0", "\u2003", "\u3000")
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028")
+FAULTS = (None, None, None, "duplicate name", "missing row", "extra row", "short row", "long row",
+          "unknown token", "overlong token")
+
+
+def parse_outcome(parse, text):
+    """The groupoid ``parse`` reads from ``text``, or its ParseError's message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@st.composite
+def gpd_documents(draw):
+    """A .gpd document with comments, blank lines and mixed separators, and at
+    most one injected fault."""
+    name = st.text(NAME_CHARS, min_size=1, max_size=3)
+    names = draw(st.lists(name, min_size=1, max_size=5, unique=True))
+    n = len(names)
+    rows = [[names[draw(st.integers(0, n - 1))] for _ in range(n)] for _ in range(n)]
+    fault = draw(st.sampled_from(FAULTS))
+    i = draw(st.integers(0, n - 1))
+    if fault == "duplicate name":
+        names.insert(draw(st.integers(0, n)), names[i])
+    elif fault == "missing row":
+        del rows[i]
+    elif fault == "extra row":
+        rows.insert(draw(st.integers(0, n)), list(rows[i]))
+    elif fault == "short row":
+        del rows[i][draw(st.integers(0, n - 1))]
+    elif fault == "long row":
+        rows[i].insert(draw(st.integers(0, n)), names[0])
+    elif fault == "unknown token":
+        rows[i][draw(st.integers(0, n - 1))] = draw(name.filter(lambda tok: tok not in names))
+    elif fault == "overlong token":
+        rows[i][draw(st.integers(0, n - 1))] = max(names, key=len) + draw(name)
+
+    def line(tokens):
+        gaps = ["", *(draw(st.text(st.sampled_from(ROW_SEPARATORS), min_size=1, max_size=2)) for _ in tokens[1:])]
+        lead = draw(st.sampled_from(("", " ", "\u3000")))
+        comment = draw(st.sampled_from(("", "", "# note", "#a b", "  # é")))
+        blank = draw(st.sampled_from(("", "", "", "# heading", "\t")))
+        text = lead + "".join(gap + tok for gap, tok in zip(gaps, tokens)) + comment
+        return "".join(x + draw(st.sampled_from(LINE_ENDS)) for x in (blank, text) if x)
+
+    return "".join(line(tokens) for tokens in [names, *rows])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(gpd_documents(), st.text(NAME_CHARS + "".join(ROW_SEPARATORS + LINE_ENDS) + "#", max_size=40)))
+def test_parser_matches_the_row_by_row_reference(text):
+    assert parse_outcome(parse_groupoid, text) == parse_outcome(brute.parse_groupoid, text)
+
+
+def test_separators_are_str_split_whitespace():
+    scanned = {b for b in range(256) if core._BYTE_CLASSES[b] <= 1} | set(map(ord, core._WIDE_SEPARATORS))
+    assert scanned == {c for c in range(0x110000) if chr(c).isspace()}
+    for c in sorted(scanned):
+        for text in (f"a b\na{chr(c)}b\nb a\n", f"a{chr(c)}b\nb{chr(c)}{chr(c)}a\na b{chr(c)}\n"):
+            assert parse_outcome(parse_groupoid, text) == parse_outcome(brute.parse_groupoid, text)
+
+
+def test_parser_memory_is_bounded_by_the_text():
+    # 200 random names of 60 letters share no prefix past their first letters,
+    # so their trie has about 11,800 states: a transition table of 256 int64
+    # columns would take 24 MB, ten times the text
+    rng = np.random.default_rng(3)
+    n = 200
+    names = tuple("".join(rng.choice(list(string.ascii_lowercase), 60)) for _ in range(n))
+    g = Groupoid(names, rng.integers(0, n, (n, n)))
+    text = write_groupoid(g)
+    tracemalloc.start()
+    try:
+        assert parse_groupoid(text) == g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(text)
 
 
 def test_gpd_roundtrip_300_elements():
