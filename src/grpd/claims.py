@@ -13,6 +13,7 @@ mutation-sensitivity test injects corrupted tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable
 
@@ -226,22 +227,37 @@ def _sh_suite(name):
     return fn
 
 
+def _join(p: tuple[int, ...], q: list[int]) -> tuple[int, ...]:
+    """The join of two equivalences on 0..n-1 as block ids in restricted-growth order
+    (blocks numbered by least member): each block of q merges the blocks of p it meets."""
+    ids = list(p)
+    for u, c in enumerate(q):
+        low, high = sorted((ids[u], ids[q.index(c)]))
+        ids = [low if i == high else i for i in ids]
+    return tuple(list(dict.fromkeys(ids)).index(i) for i in ids)
+
+
 def _separating_congruences(g: Groupoid, x: int, y: int) -> list[Partition]:
     """The nontrivial congruences with x and y in different blocks, finest
     first and in restricted-growth order within one block count.  Each is
     a join of principal congruences, so joining on Cg(a, b) for the first
-    members a, b of two blocks, from the finest one up, reaches them all.
+    members a, b of two blocks, from the finest one up, reaches them all;
+    each Cg(a, b) is generated once, and joined as an equivalence relation
+    (Burris & Sankappanavar, *A Course in Universal Algebra*, Thm 5.3).
     Past ``CONGRUENCE_CAP`` congruences it raises GuardError."""
-    found: set[Partition] = set()
-    frontier = {Partition(tuple((a,) for a in range(g.n)))}
+    cg = cache(lambda a, b: generated_congruence(g, [(a, b)]).block_ids())
+    found: set[tuple[int, ...]] = set()  # congruences as block ids
+    frontier = {tuple(range(g.n))}
     while frontier:
         found |= frontier
         if len(found) > CONGRUENCE_CAP:
             raise GuardError(f"congruence search capped at {CONGRUENCE_CAP} congruences")
-        frontier = {generated_congruence(g, [(b[0], c) for b in p.blocks for c in b[1:]] + [(b1[0], b2[0])])
-                    for p in frontier for b1, b2 in combinations(p.blocks, 2)} - found
-    separating = [p for p in found if 1 < len(p.blocks) < g.n and p.block_ids()[x] != p.block_ids()[y]]
-    return sorted(separating, key=lambda p: (-len(p.blocks), p.block_ids()))
+        frontier = {_join(ids, cg(ids.index(c), ids.index(d)))
+                    for ids in frontier for c, d in combinations(range(max(ids) + 1), 2)} - found
+    separating = sorted((ids for ids in found if 0 < max(ids) < g.n - 1 and ids[x] != ids[y]),
+                        key=lambda ids: (-max(ids), ids))
+    return [Partition(tuple(tuple(a for a in range(g.n) if ids[a] == c) for c in range(max(ids) + 1)))
+            for ids in separating]
 
 
 def _claim_quotient_g1(get):

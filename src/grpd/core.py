@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -57,10 +57,12 @@ class Groupoid:
     def n(self) -> int:
         return len(self.names)
 
-    @property
+    @cached_property
     def narrow_table(self) -> np.ndarray:
-        """A copy of ``table`` in the smallest dtype that holds n-1 (uint8 up to 256 elements)."""
-        return self.table.astype(np.min_scalar_type(self.n - 1))
+        """``table`` in the smallest dtype that holds n-1 (uint8 up to 256 elements), read-only."""
+        narrow = self.table.astype(np.min_scalar_type(self.n - 1))
+        narrow.flags.writeable = False
+        return narrow
 
     def index(self, name: str) -> int:
         try:
@@ -234,16 +236,29 @@ def generate_subuniverse(g: Groupoid, seeds) -> frozenset[int]:
 
 def subuniverse_mask(g: Groupoid, closed: np.ndarray, seeds) -> np.ndarray:
     """The mask of the subuniverse generated by ``seeds`` (maybe none) and the one masked by
-    ``closed``.  Each round multiplies only the frontier, the elements new in the round
-    before, by the set so far, both ways, so no element enters a frontier twice."""
+    ``closed``.  Each round multiplies the frontier, the elements new in the round before,
+    by the set so far, both ways (no element enters a frontier twice), short of the carrier."""
     mask = closed.copy()
     mask[seeds] = True
     frontier = (mask ^ closed).nonzero()[0]
     while frontier.size:
         inside, before = mask.nonzero()[0], mask.copy()
+        if len(inside) == g.n:  # a round on the whole carrier finds nothing new
+            break
         mask[g.table[frontier[:, None], inside]] = mask[g.table[inside[:, None], frontier]] = True
         frontier = (mask ^ before).nonzero()[0]
     return mask
+
+
+def generating_set(g: Groupoid) -> list[int]:
+    """The elements outside the table's image, which every generating set
+    holds, then each least element outside the subuniverse generated so far."""
+    gens = np.flatnonzero(np.bincount(g.table.ravel(), minlength=g.n) == 0).tolist()
+    closed = subuniverse_mask(g, np.zeros(g.n, bool), gens)
+    while not closed.all():
+        gens.append(int(np.argmin(closed)))
+        closed = subuniverse_mask(g, closed, gens[-1:])
+    return gens
 
 
 def generated_congruence(g: Groupoid, pairs) -> Partition:
@@ -287,30 +302,37 @@ def quotient(g: Groupoid, p: Partition) -> Groupoid:
     """
     if not is_congruence(g, p):
         raise ValueError("partition is not a congruence")
-    ids = p.block_ids()
+    firsts = [b[0] for b in p.blocks]
     names = tuple("+".join(g.names[x] for x in b) for b in p.blocks)
-    m = len(p.blocks)
-    table = np.zeros((m, m), dtype=np.int64)
-    for a, ablock in enumerate(p.blocks):
-        for b, bblock in enumerate(p.blocks):
-            table[a, b] = ids[g.prod(ablock[0], bblock[0])]
-    return Groupoid(names, table)
+    return Groupoid(names, np.asarray(p.block_ids())[g.table[np.ix_(firsts, firsts)]])
 
 
 def find_isomorphism(g1: Groupoid, g2: Groupoid) -> tuple[int, ...] | None:
     """A product-preserving bijection g1 -> g2 as the tuple of images
     (``sigma[a * b] = sigma[a] * sigma[b]``), or None if there is none.
 
-    An anti-isomorphism is ``find_isomorphism(g1, dual(g2))``.  Brute
-    force over all bijections, guarded at 9 elements.
+    An anti-isomorphism is ``find_isomorphism(g1, dual(g2))``.  Each of the n!/(n-k)!
+    injective images of ``generating_set(g1)``, k elements, is extended along products
+    and checked.  Guarded at 9 elements.
     """
     if g1.n > ISO_MAX_N or g2.n > ISO_MAX_N:
         raise GuardError(f"isomorphism search capped at n={ISO_MAX_N}")
     if g1.n != g2.n:
         return None
-    t1, t2 = g1.table, g2.table
-    for perm in itertools.permutations(range(g1.n)):
-        sigma = np.asarray(perm)
-        if np.array_equal(sigma[t1], t2[np.ix_(sigma, sigma)]):
-            return perm
+    n, t1, t2 = g1.n, g1.table.tolist(), g2.table.tolist()
+    reached, steps = generating_set(g1), []  # the generators, then each a * b outside them: steps
+    while len(reached) < n:
+        for a, b in itertools.product(reached, repeat=2):
+            if t1[a][b] not in reached:
+                reached.append(t1[a][b])
+                steps.append((t1[a][b], a, b))
+    cells = list(itertools.product(range(n), repeat=2))
+    for images in itertools.permutations(range(n), n - len(steps)):  # of the generators
+        sigma = [0] * n
+        for a, image in zip(reached, images):
+            sigma[a] = image
+        for c, a, b in steps:
+            sigma[c] = t2[sigma[a]][sigma[b]]
+        if len(set(sigma)) == n and all(sigma[t1[a][b]] == t2[sigma[a]][sigma[b]] for a, b in cells):
+            return tuple(sigma)
     return None

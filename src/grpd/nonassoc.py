@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Groupoid, generate_subuniverse, subuniverse_mask
+from .core import Groupoid, generate_subuniverse, generating_set
 
 TRIPLE_LIST_CAP = 1000
 # Cube cells per block of the table-wide kernels: the defect census, the identity
@@ -62,17 +62,6 @@ def defect_slabs(g: Groupoid, rows=None, middles=None):
     step = max(1, SLAB_CELLS // (len(right) * g.n))
     for lo in range(0, len(left), step):
         yield lo, t.take(products[lo:lo + step], axis=0) != left[lo:lo + step].take(right, axis=1)
-
-
-def generating_set(g: Groupoid) -> list[int]:
-    """The elements outside the table's image, which every generating set
-    holds, then each least element outside the subuniverse generated so far."""
-    gens = np.flatnonzero(np.bincount(g.table.ravel(), minlength=g.n) == 0).tolist()
-    closed = subuniverse_mask(g, np.zeros(g.n, bool), gens)
-    while not closed.all():
-        gens.append(int(np.argmin(closed)))
-        closed = subuniverse_mask(g, closed, gens[-1:])
-    return gens
 
 
 def is_semigroup(g: Groupoid) -> bool:

@@ -14,6 +14,7 @@ x1 and keeps no table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +68,16 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     within the budget; a budget below |A|, which admits not even s(1),
     raises GuardError.
 
-    Each level refines a partition of its pairs (split, P, Q), visited
-    in the order of their first bracketings, slab by slab over rows of
-    x1: a pair's new label is the first occurrence of (old label, slab
-    bytes), so classes stay in order of first occurrence.  A level below
-    the top is one slab, the whole table, kept as the bytes its products
-    are later composed from.  The top level takes slabs of about
-    ``nonassoc.SLAB_CELLS`` cells, keeps no table and stops once every
-    pair is a class of its own.  Each bracketing's class is read through
-    its factors' classes.
+    Each level refines a partition of its pairs (split, P, Q), visited in the order of
+    their first bracketings, slab by slab over rows of x1: a pair's new label is the first
+    occurrence of (old label, slab bytes), numbered past the labels of earlier slabs.  A
+    level below the top is one slab, the whole table, kept as the bytes its products are
+    later composed from.  The top level takes slabs of about ``nonassoc.SLAB_CELLS`` cells
+    and keeps no table; slabs only split classes, so later slabs skip a pair alone in its
+    class, and the level stops once no pair shares a class.  A slab is gathered along Q's
+    axis first, copying whole rows of narrow[:, Q], unless P's slab holds at most |A|
+    cells.  Each bracketing's class is read through its factors' classes, and a size's
+    classes are listed in order of first occurrence.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -89,38 +91,42 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
         top += 1
     narrow = g.narrow_table
     found = [[np.arange(g.n, dtype=narrow.dtype).tobytes()]]  # found[m-1]: each class's table bytes, below the top
-    ids = [np.zeros(1, dtype=np.intp)]  # ids[m-1]: each bracketing's class
+    ids = [[0]]  # ids[m-1]: each bracketing's class
     for m in range(2, top + 1):
         pairs = [(g.n ** (k - 1), np.frombuffer(p, narrow.dtype), np.frombuffer(q, narrow.dtype))
                  for k in range(1, m) for p in found[k - 1] for q in found[m - k - 1]]
-        labels = [0] * len(pairs)
+        labels, live, fresh = [0] * len(pairs), range(len(pairs)), 0
         rows = max(1, nonassoc.SLAB_CELLS // g.n ** (m - 1)) if m == top else g.n
         for x0 in range(0, g.n, rows):
             level: dict[tuple[int, bytes], int] = {}
-            for i, (stride, p, q) in enumerate(pairs):
+            for i in live:
+                stride, p, q = pairs[i]
                 p = p[x0 * stride:(x0 + rows) * stride]
-                # the shorter operand's axis first; the 2-D narrow[p[:, None], q] is several times slower
-                if len(p) <= len(q):
-                    table = narrow.take(p, axis=0).take(q, axis=1)
-                else:
-                    table = narrow.take(q, axis=1).take(p, axis=0)
-                labels[i] = level.setdefault((labels[i], table.tobytes()), len(level))
-            if len(level) == len(pairs):
-                break
+                # q's axis first copies the slab as whole rows of narrow[:, q]; p's first
+                # gathers it cell by cell, which wins only while p holds at most n cells
+                table = (narrow.take(p, axis=0).take(q, axis=1) if len(p) <= g.n
+                         else narrow.take(q, axis=1).take(p, axis=0))
+                labels[i] = level.setdefault((labels[i], table.tobytes()), fresh + len(level))
+            if x0 + rows < g.n:  # a pair alone in its class stays alone: later slabs skip it
+                fresh += len(level)
+                sizes = Counter(labels[i] for i in live)
+                live = [i for i in live if sizes[labels[i]] > 1]
+                if not live:
+                    break
         if m < top:
             found.append([key for _, key in level])
-        labels = np.array(labels, dtype=np.intp)
         split_ids, start = [], 0
         for k in range(1, m):
-            shape = (len(found[k - 1]), len(found[m - k - 1]))
-            pair_class = labels[start:start + shape[0] * shape[1]].reshape(shape)
-            split_ids.append(pair_class[ids[k - 1][:, None], ids[m - k - 1]].reshape(-1))
-            start += pair_class.size
-        ids.append(np.concatenate(split_ids))
+            width = len(found[m - k - 1])
+            split_ids += [labels[start + a * width + b] for a in ids[k - 1] for b in ids[m - k - 1]]
+            start += len(found[k - 1]) * width
+        ids.append(split_ids)
     classes = []
     for c in ids:
-        members = np.split(np.argsort(c, kind="stable"), np.cumsum(np.bincount(c))[:-1])
-        classes.append(tuple(tuple(m.tolist()) for m in members))
+        members: dict[int, list[int]] = {}
+        for i, label in enumerate(c):
+            members.setdefault(label, []).append(i)
+        classes.append(tuple(map(tuple, members.values())))
     return SpectrumReport(tuple(map(len, classes)), tuple(classes))
 
 

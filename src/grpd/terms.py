@@ -230,7 +230,8 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
     lhs before rhs).  More than ``DEFAULT_BUDGET`` assignments (n^v)
     raise GuardError before any work (``guard_assignments``).  Associativity,
     renamed or either side first, holds iff ``is_semigroup`` (by Light's test
-    above one slab) says so, and only a failure is scanned for its witness.
+    above one slab) says so; at or below one slab a failure's witness is the
+    census's first defect in index order, and above it the scan finds it.
     Each block of assignments spans the trailing variables that fit in
     ``nonassoc.SLAB_CELLS`` cells (the last two of any 3-variable check
     within the budget), and the leading variables are looped, and no
@@ -245,8 +246,12 @@ def satisfies_identity(g: Groupoid, ident: Identity) -> tuple[bool, dict[str, in
         raise GuardError(f"identity check capped at {MAX_IDENTITY_VARS} variables")
     n = g.n
     guard_assignments(n, v)
-    if v == 3 and _is_associativity(ident, variables) and is_semigroup(g):
-        return True, None
+    if v == 3 and _is_associativity(ident, variables):
+        if is_semigroup(g):
+            return True, None
+        if n ** 3 <= nonassoc.SLAB_CELLS:  # the census's one slab: its first defect is the witness
+            defects = next(nonassoc.defect_slabs(g))[1]
+            return False, dict(zip(variables, map(int, np.unravel_index(defects.argmax(), defects.shape))))
 
     suffix = 0
     while suffix < v and n ** (suffix + 1) <= nonassoc.SLAB_CELLS:

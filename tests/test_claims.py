@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,14 @@ def fast_results():
 def test_ledger_is_green(fast_results):
     failed = [r for r in fast_results if r.status == "fail"]
     assert not failed, failed
+
+
+def test_fast_ledger_matches_its_pinned_output(fast_results):
+    # every fast claim's id, status and detail, pinned; CI also diffs the whole
+    # verify-paper --json output against this file
+    pinned = json.loads((Path(__file__).parent / "verify-paper.json").read_text(encoding="utf-8"))["claims"]
+    got = [(r.claim_id, r.status, r.detail) for r in fast_results]
+    assert got == [(c["claimId"], c["status"], c["detail"]) for c in pinned]
 
 
 def test_ledger_size(fast_results):

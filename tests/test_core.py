@@ -15,6 +15,7 @@ from grpd.core import (
     dual,
     find_isomorphism,
     generate_subuniverse,
+    generating_set,
     is_congruence,
     is_idempotent,
     parse_groupoid,
@@ -417,6 +418,32 @@ def test_isomorphism_guard():
     big = Groupoid(tuple(str(i) for i in range(10)), np.zeros((10, 10), dtype=int))
     with pytest.raises(GuardError):
         find_isomorphism(big, big)
+
+
+def test_isomorphism_of_left_zero_bands_at_the_guard():
+    # x*y = x: every element is in the image and each singleton is closed, so
+    # all 9 elements are generators and all 9! images are tried; the right
+    # zero band is only anti-isomorphic to it
+    n = core.ISO_MAX_N
+    left_zero = Groupoid(tuple(string.ascii_lowercase[:n]), np.repeat(np.arange(n)[:, None], n, axis=1))
+    assert generating_set(left_zero) == list(range(n))
+    assert find_isomorphism(left_zero, dual(left_zero)) is None
+    assert find_isomorphism(left_zero, left_zero) == tuple(range(n))
+
+
+def test_isomorphism_of_cyclic_groups_at_the_guard():
+    # Z_9 from the generating set {0, 1}: 72 images of the generators, not 9!
+    n = core.ISO_MAX_N
+    z = Groupoid(tuple(map(str, range(n))), np.add.outer(np.arange(n), np.arange(n)) % n)
+    assert generating_set(z) == [0, 1]
+    perm = np.random.default_rng(n).permutation(n)
+    relabelled = Groupoid(z.names, perm[z.table[np.ix_(np.argsort(perm), np.argsort(perm))]])
+    sigma = find_isomorphism(z, relabelled)
+    assert sigma is not None
+    assert all(sigma[z.prod(a, b)] == relabelled.prod(sigma[a], sigma[b]) for a in range(n) for b in range(n))
+    off = relabelled.table.copy()
+    off[0, 0] = (off[0, 0] + 1) % n
+    assert find_isomorphism(z, Groupoid(z.names, off)) is None
 
 
 def test_isomorphic_groupoids_share_invariants():

@@ -374,6 +374,26 @@ def test_separating_congruences_match_the_filtered_partitions(case):
     assert claims._separating_congruences(g, x, y) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
+    st.integers(0, n - 1), st.integers(0, n - 1))))
+@example((catalog_get("G1").groupoid, 4, 2))
+@example((catalog_get("G6").groupoid, 5, 6))
+def test_separating_congruences_generate_each_principal_congruence_once(case):
+    g, x, y = case
+    calls = []
+
+    def counted(h, pairs):
+        calls.append(tuple(pairs))
+        return generated_congruence(h, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(claims, "generated_congruence", counted)
+        claims._separating_congruences(g, x, y)
+    assert len(calls) == len(set(calls)) <= g.n * (g.n - 1) // 2
+
+
 def replaced_relational_witness(g, suspect):
     """The search find_relational_witness replaced: subsets in bitmask order,
     then all partitions in restricted-growth order, filtered once for each

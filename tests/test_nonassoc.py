@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from grpd import nonassoc
 from grpd.catalog import catalog_get, catalog_list
-from grpd.core import Groupoid, dual, parse_groupoid
-from grpd.nonassoc import TRIPLE_LIST_CAP, check_sh_factor_property, generating_set, ns_index
+from grpd.core import Groupoid, dual, generating_set, parse_groupoid
+from grpd.nonassoc import TRIPLE_LIST_CAP, check_sh_factor_property, ns_index
 from grpd.terms import is_semigroup, parse_identity, satisfies_identity
 
 import brute
@@ -185,6 +185,15 @@ def groupoid_of(n, cells):
                                  .map(lambda cells: groupoid_of(n, cells))))
 def test_light_path_matches_triple_loop(g):
     assert light_path_answers(g) == brute_answers(g, brute.defect_triples(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+                                 .map(lambda cells: groupoid_of(n, cells))))
+def test_one_slab_path_matches_triple_loop(g):
+    # n^3 <= SLAB_CELLS: the census's one slab decides, and its first defect is the witness
+    assert g.n ** 3 <= nonassoc.SLAB_CELLS
+    assert answers(g) == brute_answers(g, brute.defect_triples(g))
 
 
 def test_light_path_matches_triple_loop_on_every_3_element_table(monkeypatch):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grpd import terms
+from grpd import nonassoc, terms
 from grpd.bracketings import catalan, enumerate_bracketings, left_depth_sequence
 from grpd.catalog import build_ak, catalog_get, catalog_list
 from grpd.core import Groupoid
@@ -156,6 +156,19 @@ def repro_257():
     t[1, 1] = 2
     t[2, 1] = 256
     return Groupoid(tuple(str(i) for i in range(257)), t)
+
+
+def test_spectrum_over_many_top_level_slabs_matches_exact_dedup(monkeypatch):
+    # one row of x1 per top-level slab: pairs alone in their class retire
+    # after an early slab, some levels stop before their last slab with no
+    # pair left to split, and both gather orders run (p first while it holds
+    # at most n cells, q first beyond)
+    monkeypatch.setattr(nonassoc, "SLAB_CELLS", 1)
+    for name in catalog_list():
+        g = cat(name)
+        rep = spectrum(g, 6)
+        assert rep.classes == tuple(spectrum_classes(g, n) for n in range(1, 7)), name
+        assert rep.values == tuple(map(len, rep.classes))
 
 
 def test_spectrum_dedup_matches_exact_dedup():
