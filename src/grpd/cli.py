@@ -22,6 +22,7 @@ from .clone import (
     binary_term_table,
     f2_table,
     find_relational_witness,
+    generates_basic,
 )
 from .core import parse_groupoid, write_groupoid
 from .errors import GuardError, ParseError
@@ -127,8 +128,11 @@ def cmd_clone(args) -> int:
         suspect = binary_term_table(g, parse_term(args.witness))
         witness = find_relational_witness(g, suspect)
         if witness is None:
-            payload["witness"] = None
-            lines.append(f"no relation separates {args.witness} from the basic operation")
+            generated = generates_basic(g, suspect)
+            payload.update(witness=None, generatesBasic=generated)
+            lines.append(f"no relation separates {args.witness} from the basic operation" if generated
+                         else f"no subset or partition separates {args.witness} from the basic operation,"
+                              f" but the product is not in the clone {args.witness} generates")
             exit_code = max(exit_code, 1)
         else:
             if witness.kind == "subset":

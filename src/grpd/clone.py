@@ -187,7 +187,9 @@ def find_relational_witness(g: Groupoid, suspect: Groupoid) -> SubsetWitness | N
     inside S is one too; a partition witness is the join of the suspect's
     Cg(a, b) below it, and the basic op's congruences are closed under
     joins, so one of those is a witness with as many blocks or more.
-    None means no relation separates them; GuardError past WITNESS_MAX_N.
+    None means no subset or partition separates them; some other relation
+    still does unless ``generates_basic(g, suspect)`` holds (Pol-Inv).
+    GuardError past WITNESS_MAX_N.
     """
     n = g.n
     if n > WITNESS_MAX_N:

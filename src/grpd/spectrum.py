@@ -6,16 +6,19 @@ the whole tuple space with numpy broadcasting, one axis per variable.
 The spectrum composes the functions of smaller sizes instead (Csákány
 & Waldhauser, "Associative spectra of binary operations", 2000),
 compared by their exact bytes in the smallest unsigned dtype that holds
-|A|-1, so two distinct functions never share a class.  Below the
+|A|-1, so two distinct functions never share a class.  Each size
+evaluates one product per group that Birkhoff's substitution rule (1935)
+already proves equal, from the classes of the size before.  Below the
 largest size each class keeps its whole table, the operand of later
 sizes; the largest size refines its classes slab by slab over rows of
-x1 and keeps no table.
+x1, a large one from a first slab of a single row, and keeps no table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,16 +71,22 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     within the budget; a budget below |A|, which admits not even s(1),
     raises GuardError.
 
-    Each level refines a partition of its pairs (split, P, Q), visited in the order of
-    their first bracketings, slab by slab over rows of x1: a pair's new label is the first
-    occurrence of (old label, slab bytes), numbered past the labels of earlier slabs.  A
-    level below the top is one slab, the whole table, kept as the bytes its products are
-    later composed from.  The top level takes slabs of about ``nonassoc.SLAB_CELLS`` cells
-    and keeps no table; slabs only split classes, so later slabs skip a pair alone in its
-    class, and the level stops once no pair shares a class.  A slab is gathered along Q's
-    axis first, copying whole rows of narrow[:, Q], unless P's slab holds at most |A|
-    cells.  Each bracketing's class is read through its factors' classes, and a size's
-    classes are listed in order of first occurrence.
+    Each level first groups its pairs (split, P, Q), in the order of their first
+    bracketings, by substitution: bracketings B1 = B2 of size m-1 stay equal with x_i
+    replaced by (x_i x_i+1), both being their function at (x1, .., x_i x_i+1, .., x_m), so
+    for each class of size m-1 and each i the pairs of its members' images (``_shapes``)
+    share a group.  Groups may split a class (A4 at size 6: 42 groups, 41 classes), which
+    evaluation then merges; only the least pair of a group is gathered, and the others
+    take its label.  Those pairs are refined slab by slab over rows of x1: a pair's new
+    label is the first occurrence of (old label, slab bytes), numbered past the labels of
+    earlier slabs.  A level below the top is one slab, the whole table, kept as the table
+    its products are later composed from.  The top level takes slabs of about
+    ``nonassoc.SLAB_CELLS`` cells, after one row of x1 when a pair's table holds more than
+    SLAB_CELLS/256 cells, and keeps no table; slabs only split classes, so later slabs skip
+    a pair alone in its class, and the level stops once no pair shares a class.  A slab is
+    gathered along Q's axis first, copying whole rows of narrow[:, Q], unless P's slab
+    holds at most |A| cells.  Each bracketing's class is read through its factors'
+    classes, and a size's classes are listed in order of first occurrence.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -85,42 +94,50 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
         raise ValueError("budget must be >= 1")
     if max_n > SPECTRUM_MAX_N:
         raise GuardError(f"spectrum capped at max_n={SPECTRUM_MAX_N}")
-    guard_assignments(g.n, 1, budget)
+    n = g.n
+    guard_assignments(n, 1, budget)
     top = 1
-    while top < max_n and catalan(top + 1) * g.n ** (top + 1) <= budget:
+    while top < max_n and catalan(top + 1) * n ** (top + 1) <= budget:
         top += 1
     narrow = g.narrow_table
-    found = [[np.arange(g.n, dtype=narrow.dtype).tobytes()]]  # found[m-1]: each class's table bytes, below the top
+    found = [[np.arange(n, dtype=narrow.dtype)]]  # found[m-1]: each class's table, below the top
     ids = [[0]]  # ids[m-1]: each bracketing's class
     for m in range(2, top + 1):
-        pairs = [(g.n ** (k - 1), np.frombuffer(p, narrow.dtype), np.frombuffer(q, narrow.dtype))
-                 for k in range(1, m) for p in found[k - 1] for q in found[m - k - 1]]
-        labels, live, fresh = [0] * len(pairs), range(len(pairs)), 0
-        rows = max(1, nonassoc.SLAB_CELLS // g.n ** (m - 1)) if m == top else g.n
-        for x0 in range(0, g.n, rows):
+        factors, images = _shapes(m)
+        index: dict[tuple[int, int, int], int] = {}  # each pair (split, P, Q), in order of its first bracketing
+        pair_of = [index.setdefault((k, ids[k - 1][a], ids[m - k - 1][b]), len(index)) for k, a, b in factors]
+        pairs = list(index)
+        rep = live = range(len(pairs))
+        if len(found[m - 2]) < len(ids[m - 2]):  # equal bracketings of size m-1 stay equal after x_i -> x_i x_i+1
+            rep, first = list(live), {}
+            for j, label in enumerate(ids[m - 2]):
+                for a, b in zip(images[first.setdefault(label, j)], images[j]):
+                    a, b = _find(rep, pair_of[a]), _find(rep, pair_of[b])
+                    rep[max(a, b)] = min(a, b)
+            rep = [_find(rep, i) for i in live]
+            live = [i for i in live if rep[i] == i]
+        labels, fresh = [0] * len(pairs), 0
+        rows = max(1, nonassoc.SLAB_CELLS // n ** (m - 1)) if m == top else n
+        x0, x1 = 0, 1 if m == top and n ** m > nonassoc.SLAB_CELLS >> 8 else rows
+        while live:
             level: dict[tuple[int, bytes], int] = {}
             for i in live:
-                stride, p, q = pairs[i]
-                p = p[x0 * stride:(x0 + rows) * stride]
+                k, p, q = pairs[i]
+                p, q = found[k - 1][p][x0 * n ** (k - 1):x1 * n ** (k - 1)], found[m - k - 1][q]
                 # q's axis first copies the slab as whole rows of narrow[:, q]; p's first
                 # gathers it cell by cell, which wins only while p holds at most n cells
-                table = (narrow.take(p, axis=0).take(q, axis=1) if len(p) <= g.n
+                table = (narrow.take(p, axis=0).take(q, axis=1) if len(p) <= n
                          else narrow.take(q, axis=1).take(p, axis=0))
                 labels[i] = level.setdefault((labels[i], table.tobytes()), fresh + len(level))
-            if x0 + rows < g.n:  # a pair alone in its class stays alone: later slabs skip it
-                fresh += len(level)
-                sizes = Counter(labels[i] for i in live)
-                live = [i for i in live if sizes[labels[i]] > 1]
-                if not live:
-                    break
+            if x1 >= n:
+                break
+            fresh += len(level)  # a pair alone in its class stays alone: later slabs skip it
+            sizes = Counter(labels[i] for i in live)
+            live = [i for i in live if sizes[labels[i]] > 1]
+            x0, x1 = x1, x1 + rows
         if m < top:
-            found.append([key for _, key in level])
-        split_ids, start = [], 0
-        for k in range(1, m):
-            width = len(found[m - k - 1])
-            split_ids += [labels[start + a * width + b] for a in ids[k - 1] for b in ids[m - k - 1]]
-            start += len(found[k - 1]) * width
-        ids.append(split_ids)
+            found.append([np.frombuffer(key, narrow.dtype) for _, key in level])
+        ids.append([labels[rep[i]] for i in pair_of])
     classes = []
     for c in ids:
         members: dict[int, list[int]] = {}
@@ -128,6 +145,27 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
             members.setdefault(label, []).append(i)
         classes.append(tuple(map(tuple, members.values())))
     return SpectrumReport(tuple(map(len, classes)), tuple(classes))
+
+
+@lru_cache(maxsize=SPECTRUM_MAX_N)
+def _shapes(m: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
+    """(split, left, right) of each bracketing of size m >= 2, in enumeration order,
+    and for each bracketing of size m-1 the index of its image with x_i replaced by
+    (x_i x_i+1) and later variables renumbered, for i = 1..m-1."""
+    factors = tuple((k, a, b) for k in range(1, m) for a in range(catalan(k)) for b in range(catalan(m - k)))
+    if m == 2:
+        return factors, ((0,),)
+    index = {f: j for j, f in enumerate(factors)}
+    return factors, tuple(
+        tuple(index[k + 1, _shapes(k + 1)[1][a][i], b] if i < k else index[k, a, _shapes(m - k)[1][b][i - k]]
+              for i in range(m - 1))
+        for k, a, b in _shapes(m - 1)[0])
+
+
+def _find(rep: list[int], i: int) -> int:
+    while rep[i] != i:
+        rep[i] = i = rep[rep[i]]
+    return i
 
 
 def spectrum_ak_oracle(k: int, max_n: int) -> list[int]:

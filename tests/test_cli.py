@@ -1,14 +1,16 @@
 import hashlib
+import itertools
 import json
 import time
 
 import numpy as np
 import pytest
 
-from grpd import clone
+from grpd import cli, clone
 from grpd.catalog import catalog_get, catalog_list
 from grpd.cli import main
 from grpd.core import Groupoid, parse_groupoid, write_groupoid
+from grpd.terms import parse_term
 
 
 @pytest.fixture()
@@ -348,6 +350,70 @@ def test_clone_witness_runs_past_the_closure_guard(capsys, tmp_path):
     for flag in ("--proxy", "--f2"):
         code, out, err = run(capsys, "clone", str(path), "--witness", "x", flag)
         assert (code, out, err) == (2, "", "error: binary clone closure exceeded 2048 operations\n")
+
+
+def test_clone_witness_says_the_product_is_not_generated_when_no_subset_or_partition_separates(capsys, tmp_path):
+    # the order {(a,a), (a,b), (b,b), (c,c)} separates (y (x y)) from the product,
+    # but no subset or partition does
+    path = tmp_path / "t96.gpd"
+    path.write_text("a b c\na a a\na b a\nb a c\n")
+    code, out, err = run(capsys, "clone", str(path), "--proxy", "--witness", "(y (x y))")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2:] == [
+        "minimality proxy: FAILS with witness (y (x y)) (clone is not minimal)",
+        "no subset or partition separates (y (x y)) from the basic operation,"
+        " but the product is not in the clone (y (x y)) generates",
+    ]
+    code, out, err = run(capsys, "clone", str(path), "--witness", "(y (x y))", "--json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert (doc["witness"], doc["generatesBasic"]) == (None, False)
+    code, out, err = run(capsys, "clone", str(path), "--witness", "(x y)", "--json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert (doc["witness"], doc["generatesBasic"]) == (None, True)
+
+
+def test_clone_witness_past_the_closure_guard_of_the_suspect_exits_2(capsys, tmp_path):
+    # no subset or partition separates ((x y) x) from this product, and the
+    # suspect's clone passes 2,048 ops before the product turns up
+    path = tmp_path / "wide-clone.gpd"
+    path.write_text("a b c\nb c a\nc c a\nb c b\n")
+    code, out, err = run(capsys, "clone", str(path), "--witness", "((x y) x)")
+    assert (code, out, err) == (2, "", "error: binary clone closure exceeded 2048 operations\n")
+
+
+def test_no_relation_separates_only_a_suspect_that_generates_the_product(capsys, monkeypatch, tmp_path):
+    # one table per relabelling class of the 729 idempotent 3-element tables: the
+    # proxy's witness term, the subset and partition witnesses and generates_basic
+    # are all invariant under relabelling.  Each table's suspects are the proxy's
+    # witness, when it fails, and the product itself
+    parts = {}
+    monkeypatch.setattr(cli, "binary_clone_part", lambda g: parts[g.table.tobytes()])
+    path, reps, sentences = tmp_path / "t.gpd", 0, {True: 0, False: 0}
+    for cells in itertools.product(range(3), repeat=6):
+        table = np.diag(np.arange(3))
+        table[~np.eye(3, dtype=bool)] = cells
+        if any(np.array(p)[table[np.ix_(np.argsort(p), np.argsort(p))]].tobytes() < table.tobytes()
+               for p in itertools.permutations(range(3))):
+            continue
+        reps += 1
+        g = Groupoid(("a", "b", "c"), table)
+        part = parts[g.table.tobytes()] = clone.binary_clone_part(g)
+        suspects = ["(x y)"]
+        if len(part) > 2 and not (verdict := clone.binary_minimality_proxy(part)).passes:
+            suspects.append(verdict.witness_name)
+        path.write_text(write_groupoid(g))
+        for term in suspects:
+            generated = clone.generates_basic(g, clone.binary_term_table(g, parse_term(term)))
+            code, out, err = run(capsys, "clone", str(path), "--witness", term)
+            separated = clone.find_relational_witness(g, clone.binary_term_table(g, parse_term(term))) is not None
+            assert err == "" and code == (0 if separated else 1)
+            assert out.endswith(f"no relation separates {term} from the basic operation\n") == generated
+            assert ("no subset or partition separates" in out) == (not separated and not generated)
+            sentences[generated] += not separated
+    assert reps == 138
+    assert sentences == {True: 138, False: 17}  # 17 classes hold the 96 tables where only generation separates
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])

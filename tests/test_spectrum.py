@@ -1,22 +1,30 @@
+import hashlib
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grpd import nonassoc, terms
 from grpd.bracketings import catalan, enumerate_bracketings, left_depth_sequence
 from grpd.catalog import build_ak, catalog_get, catalog_list
+from grpd.claims import SPECTRUM_CLAIM_BUDGET
 from grpd.core import Groupoid
 from grpd.errors import GuardError
 from grpd.nonassoc import ns_index
 from grpd.spectrum import (
+    SPECTRUM_MAX_N,
+    _shapes,
     nulla_satisfied,
     spectrum,
     spectrum_ak_oracle,
     term_function,
 )
-from grpd.terms import evaluate, is_semigroup, parse_term
+from grpd.terms import Term, evaluate, is_semigroup, parse_term, prod, var
 
 from brute import group_bracketings, spectrum_classes
 
@@ -179,6 +187,99 @@ def test_spectrum_dedup_matches_exact_dedup():
         rep = spectrum(g, max_n)
         assert rep.classes == tuple(spectrum_classes(g, n) for n in range(1, max_n + 1))
         assert rep.values == tuple(map(len, rep.classes))
+
+
+def substituted(t: Term, i: int) -> Term:
+    # x_i -> (x_i x_i+1), and x_j -> x_j+1 for j > i
+    if not t.is_var:
+        return prod(substituted(t.left, i), substituted(t.right, i))
+    j = int(t.name[1:])
+    return prod(var(f"x{i}"), var(f"x{i + 1}")) if j == i else var(f"x{j + 1}" if j > i else t.name)
+
+
+def renumbered(t: Term, shift: int) -> Term:
+    if not t.is_var:
+        return prod(renumbered(t.left, shift), renumbered(t.right, shift))
+    return var(f"x{int(t.name[1:]) - shift}")
+
+
+def test_shapes_match_the_enumerated_terms():
+    sizes = [None] + [enumerate_bracketings(m) for m in range(1, SPECTRUM_MAX_N + 1)]
+    for m in range(2, SPECTRUM_MAX_N + 1):
+        factors, images = _shapes(m)
+        assert len(factors) == len(sizes[m]) and len(images) == len(sizes[m - 1])
+        for b, (k, left, right) in zip(sizes[m], factors):
+            assert b.left == sizes[k][left] and renumbered(b.right, k) == sizes[m - k][right]
+        index = {b: j for j, b in enumerate(sizes[m])}
+        for b, image in zip(sizes[m - 1], images):
+            assert image == tuple(index[substituted(b, i)] for i in range(1, m))
+
+
+def derived_classes(g, m):
+    # the classes of size m forced by equal factors and by substitution into the
+    # true classes of size m-1 (brute force), before any evaluation at size m
+    true = [{j: c for c, members in enumerate(spectrum_classes(g, k)) for j in members} for k in range(1, m)]
+    factors, images = _shapes(m)
+    pair = {}
+    root = [pair.setdefault((k, true[k - 1][a], true[m - k - 1][b]), j) for j, (k, a, b) in enumerate(factors)]
+
+    def find(j):
+        while root[j] != j:
+            j = root[j]
+        return j
+
+    first = {}
+    for j, c in true[m - 2].items():
+        for a, b in zip(images[first.setdefault(c, j)], images[j]):
+            a, b = find(a), find(b)
+            root[max(a, b)] = min(a, b)
+    groups = {}
+    for j in range(len(factors)):
+        groups.setdefault(find(j), []).append(j)
+    return tuple(map(tuple, groups.values()))
+
+
+def test_substitution_is_sound_and_evaluation_merges_the_rest():
+    for name in ("A2", "A3", "A4", "chain-2", "aab-eps", "G3"):
+        g = cat(name)
+        for m in range(2, 7):
+            true = spectrum_classes(g, m)
+            members = {j: c for c, cls in enumerate(true) for j in cls}
+            derived = derived_classes(g, m)
+            assert all(len({members[j] for j in c}) == 1 for c in derived), (name, m)
+            assert spectrum(g, m).classes[-1] == true
+    # A4's first merge is at size 6, below which every class is a singleton:
+    # only evaluation finds it
+    assert (len(derived_classes(cat("A4"), 6)), len(spectrum_classes(cat("A4"), 6))) == (42, 41)
+
+
+tables = st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)))
+
+
+@pytest.mark.parametrize("slab", [1, 64, nonassoc.SLAB_CELLS])
+@settings(max_examples=100, deadline=None)
+@given(tables, st.integers(1, 6))
+def test_spectrum_matches_brute_force_on_random_tables(slab, table, max_n):
+    # 1: every top-level slab one row of x1; 64: a one-row probe, then slabs of
+    # several rows; the default: one slab, or a probe and one slab at n=4, m=6.
+    # Values below k fold the table onto few elements, so classes merge early
+    # and substitution has equal bracketings to work from
+    n, k, cells = table
+    g = Groupoid(tuple(map(str, range(n))), np.minimum(np.reshape(cells, (n, n)), k - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nonassoc, "SLAB_CELLS", slab)
+        rep = spectrum(g, max_n)
+    assert rep.classes == tuple(spectrum_classes(g, m) for m in range(1, max_n + 1))
+    assert rep.values == tuple(map(len, rep.classes))
+
+
+def test_catalog_classes_match_the_pinned_digests():
+    pinned = json.loads((Path(__file__).parent / "spectrum-classes.json").read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(catalog_list())
+    for name, digest in pinned.items():
+        rep = spectrum(cat(name), 7, budget=SPECTRUM_CLAIM_BUDGET)
+        assert hashlib.sha256(repr(rep.classes).encode()).hexdigest() == digest, name
 
 
 def test_spectrum_above_256_elements_keeps_distinct_functions():
