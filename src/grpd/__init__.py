@@ -18,7 +18,6 @@ from .catalog import (
 from .claims import ClaimResult, run_claims
 from .clone import (
     BinaryClonePart,
-    ProxyVerdict,
     binary_clone_part,
     binary_minimality_proxy,
     binary_term_table,
@@ -30,7 +29,6 @@ from .clone import (
 from .core import (
     Groupoid,
     Partition,
-    SubsetWitness,
     dual,
     find_isomorphism,
     generate_subuniverse,

@@ -113,7 +113,7 @@ _TAG_CHECKS = {
     "shAbc": lambda g: ns_index(g).sh_type == "abc",
     "shAba": lambda g: ns_index(g).sh_type == "aba",
     "shAab": lambda g: ns_index(g).sh_type == "aab",
-    "cloneNotMinimal": lambda g: not binary_minimality_proxy(binary_clone_part(g)).passes,
+    "cloneNotMinimal": lambda g: binary_minimality_proxy(binary_clone_part(g)) is not None,
     "spectrum2pow": lambda g: spectrum(g, 5).values == (1, 1, 2, 4, 8),
 }
 
@@ -220,21 +220,20 @@ def _sh_suite(name):
             return False, f"{name} violates the factor property at its defect"
         if not _TAG_CHECKS["inBd" if name.endswith("d") else "inB"](g):
             return False, f"{name} fails its variety membership"
-        if not binary_minimality_proxy(binary_clone_part(g)).passes:
+        if binary_minimality_proxy(binary_clone_part(g)) is not None:
             return False, f"{name} binary minimality proxy failed"
         return True, f"{name}: ns=1, type abc, minimal, factor property, membership, proxy"
 
     return fn
 
 
-def _join(p: tuple[int, ...], q: list[int]) -> tuple[int, ...]:
-    """The join of two equivalences on 0..n-1 as block ids in restricted-growth order
-    (blocks numbered by least member): each block of q merges the blocks of p it meets."""
-    ids = list(p)
-    for u, c in enumerate(q):
-        low, high = sorted((ids[u], ids[q.index(c)]))
+def _join(p: Partition, q: Partition) -> Partition:
+    """The join of two equivalences on 0..n-1: each block of q merges the blocks of p it meets."""
+    ids = list(p.ids)
+    for u, c in enumerate(q.ids):
+        low, high = sorted((ids[u], ids[q.ids.index(c)]))
         ids = [low if i == high else i for i in ids]
-    return tuple(list(dict.fromkeys(ids)).index(i) for i in ids)
+    return Partition(ids)
 
 
 def _separating_congruences(g: Groupoid, x: int, y: int) -> list[Partition]:
@@ -245,19 +244,17 @@ def _separating_congruences(g: Groupoid, x: int, y: int) -> list[Partition]:
     each Cg(a, b) is generated once, and joined as an equivalence relation
     (Burris & Sankappanavar, *A Course in Universal Algebra*, Thm 5.3).
     Past ``CONGRUENCE_CAP`` congruences it raises GuardError."""
-    cg = cache(lambda a, b: generated_congruence(g, [(a, b)]).block_ids())
-    found: set[tuple[int, ...]] = set()  # congruences as block ids
-    frontier = {tuple(range(g.n))}
+    cg = cache(lambda a, b: generated_congruence(g, [(a, b)]))
+    found: set[Partition] = set()
+    frontier = {Partition(range(g.n))}
     while frontier:
         found |= frontier
         if len(found) > CONGRUENCE_CAP:
             raise GuardError(f"congruence search capped at {CONGRUENCE_CAP} congruences")
-        frontier = {_join(ids, cg(ids.index(c), ids.index(d)))
-                    for ids in frontier for c, d in combinations(range(max(ids) + 1), 2)} - found
-    separating = sorted((ids for ids in found if 0 < max(ids) < g.n - 1 and ids[x] != ids[y]),
-                        key=lambda ids: (-max(ids), ids))
-    return [Partition(tuple(tuple(a for a in range(g.n) if ids[a] == c) for c in range(max(ids) + 1)))
-            for ids in separating]
+        frontier = {_join(p, cg(p.ids.index(c), p.ids.index(d)))
+                    for p in frontier for c, d in combinations(range(max(p.ids) + 1), 2)} - found
+    return sorted((p for p in found if 0 < max(p.ids) < g.n - 1 and p.ids[x] != p.ids[y]),
+                  key=lambda p: (-max(p.ids), p.ids))
 
 
 def _claim_quotient_g1(get):
@@ -276,7 +273,7 @@ def _claim_quotient_g1(get):
 
 def _claim_quotient_g4(get):
     g4, g5 = get("G4"), get("G5")
-    p = Partition(((0,), (1,), (2,), (g4.index("e"), g4.index("f")), (5,)))
+    p = Partition([g4.index("e") if name == "f" else i for i, name in enumerate(g4.names)])
     if not is_congruence(g4, p):
         return False, "merging e,f is not a congruence of G4"
     if find_isomorphism(quotient(g4, p), g5) is None:
@@ -305,8 +302,7 @@ def _claim_quotient_g6(get):
 def _lemma_nonminimal(name, suspect_text, want_kind, want_payload):
     def fn(get):
         g = get(name)
-        verdict = binary_minimality_proxy(binary_clone_part(g))
-        if verdict.passes:
+        if binary_minimality_proxy(binary_clone_part(g)) is None:
             return False, f"{name} proxy unexpectedly passes"
         suspect = binary_term_table(g, parse_term(suspect_text))
         if generates_basic(g, suspect):
@@ -314,17 +310,18 @@ def _lemma_nonminimal(name, suspect_text, want_kind, want_payload):
         witness = find_relational_witness(g, suspect)
         if witness is None:
             return False, f"{name}: no relational witness for {suspect_text}"
-        if witness.kind != want_kind:
-            return False, f"{name}: witness kind {witness.kind}, want {want_kind}"
+        kind = "partition" if isinstance(witness, Partition) else "subset"
+        if kind != want_kind:
+            return False, f"{name}: witness kind {kind}, want {want_kind}"
         if want_kind == "partition":
             want_block = tuple(sorted(g.index(e) for e in want_payload))
-            if want_block not in witness.payload.blocks:
-                return False, f"{name}: witness {witness.payload} lacks block {want_payload}"
+            if want_block not in witness.blocks:
+                return False, f"{name}: witness {witness} lacks block {want_payload}"
             detail = f"{name}: {suspect_text} preserved partition with block {{{','.join(want_payload)}}}"
         else:
             want_set = frozenset(g.index(e) for e in want_payload)
-            if witness.payload != want_set:
-                return False, f"{name}: witness subset {witness.payload} != {want_payload}"
+            if witness != want_set:
+                return False, f"{name}: witness subset {witness} != {want_payload}"
             detail = f"{name}: {suspect_text} preserved subset {{{','.join(want_payload)}}}"
         return True, detail + "; basic op does not"
 

@@ -113,16 +113,12 @@ def cmd_clone(args) -> int:
         payload["f2"] = write_groupoid(f2_table(part))
         lines += ["f2 table:", payload["f2"].rstrip()]
     if args.proxy:
-        verdict = binary_minimality_proxy(part)
-        payload["proxy"] = {
-            "passes": verdict.passes,
-            "witness": verdict.witness_name,
-        }
-        if verdict.passes:
+        term = binary_minimality_proxy(part)
+        payload["proxy"] = {"passes": term is None, "witness": term}
+        if term is None:
             lines.append("minimality proxy: passes (consistent with a minimal clone)")
         else:
-            lines.append(f"minimality proxy: FAILS with witness {verdict.witness_name}"
-                         " (clone is not minimal)")
+            lines.append(f"minimality proxy: FAILS with witness {term} (clone is not minimal)")
             exit_code = 1
     if args.witness:
         suspect = binary_term_table(g, parse_term(args.witness))
@@ -135,14 +131,14 @@ def cmd_clone(args) -> int:
                               f" but the product is not in the clone {args.witness} generates")
             exit_code = max(exit_code, 1)
         else:
-            if witness.kind == "subset":
-                desc = "{" + ",".join(g.names[i] for i in sorted(witness.payload)) + "}"
-                payload["witness"] = {"kind": "subset", "elements": sorted(g.names[i] for i in witness.payload)}
+            if isinstance(witness, frozenset):
+                desc = "{" + ",".join(g.names[i] for i in sorted(witness)) + "}"
+                payload["witness"] = {"kind": "subset", "elements": sorted(g.names[i] for i in witness)}
             else:
-                blocks = [[g.names[i] for i in b] for b in witness.payload.blocks]
+                blocks = [[g.names[i] for i in b] for b in witness.blocks]
                 desc = " | ".join("{" + ",".join(b) + "}" for b in blocks)
                 payload["witness"] = {"kind": "partition", "blocks": blocks}
-            lines.append(f"{witness.kind} preserved by {args.witness} but not by the product: {desc}")
+            lines.append(f"{payload['witness']['kind']} preserved by {args.witness} but not by the product: {desc}")
     _emit(args, payload, lines)
     return exit_code
 

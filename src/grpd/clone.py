@@ -14,8 +14,10 @@ The minimality proxy is exact at the binary level: the binary part of
 the clone generated by a binary h is precisely the closure of the
 projections under composition with h, so the basic operation missing
 from that closure certifies the clone is not minimal; the closure
-stops as soon as f turns up.  A pass does NOT prove minimality
-(higher-arity generators are never examined).
+stops as soon as f turns up.  The proxy returns the term of such an h,
+or None; None does NOT prove minimality (higher-arity generators are
+never examined).  A relational witness is the relation itself: a
+frozenset of indices for a subset, or a ``Partition``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import nonassoc
-from .core import Groupoid, SubsetWitness, generate_subuniverse, generated_congruence, is_congruence
+from .core import Groupoid, Partition, generate_subuniverse, generated_congruence, is_congruence
 from .errors import GuardError
 from .spectrum import term_function
 from .terms import Term
@@ -139,35 +141,23 @@ def generates_basic(g: Groupoid, h: Groupoid) -> bool:
     return _close_under(h.narrow_table, stop=g.narrow_table.tobytes()) is None
 
 
-@dataclass(frozen=True)
-class ProxyVerdict:
-    """Outcome of the binary minimality proxy.
-
-    ``passes`` means every nontrivial binary clone op generates the
-    basic operation back -- consistent with (not a proof of) clone
-    minimality.  Otherwise ``witness_name`` is the term of the first
-    failing op, a witness that the clone is certainly not minimal.
-    """
-
-    passes: bool
-    witness_name: str | None = None
-
-
-def binary_minimality_proxy(part: BinaryClonePart) -> ProxyVerdict:
+def binary_minimality_proxy(part: BinaryClonePart) -> str | None:
     """For every nontrivial h in the binary clone part, test whether the
     closure of the projections under h recovers the basic operation.
 
-    The first h (clone discovery order) that fails is returned as a
-    witness of non-minimality.  The projections are ``ops[0]`` and
-    ``ops[1]``, and no other op equals them, so the part holds only
-    them iff f is a projection (a 1-element carrier included).
+    Returns the term of the first h (clone discovery order) that fails, a
+    witness that the clone is certainly not minimal, or None when every h
+    generates f back: consistent with, but NOT a proof of, minimality.
+    The projections are ``ops[0]`` and ``ops[1]``, and no other op equals
+    them, so the part holds only them iff f is a projection (a 1-element
+    carrier included).
     """
     if len(part) == 2:
         raise ValueError("basic operation is a projection; proxy needs a nontrivial clone")
     for op, name in zip(part.ops[2:], part.names[2:]):
         if not generates_basic(part.groupoid, op):
-            return ProxyVerdict(False, name)
-    return ProxyVerdict(True)
+            return name
+    return None
 
 
 def binary_term_table(g: Groupoid, term: Term) -> Groupoid:
@@ -178,8 +168,9 @@ def binary_term_table(g: Groupoid, term: Term) -> Groupoid:
     return Groupoid(g.names, term_function(g, term, ("x", "y")))
 
 
-def find_relational_witness(g: Groupoid, suspect: Groupoid) -> SubsetWitness | None:
-    """First relation preserved by the suspect but not by the basic op.
+def find_relational_witness(g: Groupoid, suspect: Groupoid) -> frozenset[int] | Partition | None:
+    """First relation preserved by the suspect but not by the basic op:
+    a subset as a frozenset of indices, or a ``Partition``.
 
     Subsets are ordered by bitmask, then partitions by block count (most
     first) and restricted-growth string.  The first witness is generated
@@ -199,9 +190,9 @@ def find_relational_witness(g: Groupoid, suspect: Groupoid) -> SubsetWitness | N
     subsets = {generate_subuniverse(suspect, {a, b}) for a, b in combinations_with_replacement(range(n), 2)}
     subsets = [s for s in subsets if not set(g.table[np.ix_(list(s), list(s))].flat) <= s]
     if subsets:
-        return SubsetWitness("subset", min(subsets, key=lambda s: sum(1 << i for i in s)))
+        return min(subsets, key=lambda s: sum(1 << i for i in s))
     partitions = [generated_congruence(suspect, [pair]) for pair in combinations(range(n), 2)]
     partitions = [p for p in partitions if not is_congruence(g, p)]
     if partitions:
-        return SubsetWitness("partition", min(partitions, key=lambda p: (-len(p.blocks), p.block_ids())))
+        return min(partitions, key=lambda p: (-max(p.ids), p.ids))
     return None

@@ -6,6 +6,8 @@ internally; display names live in a side table so the hot loops stay
 index-only.  ``Groupoid`` is the one type of a binary operation: a
 clone op or a suspect is a groupoid on the basic groupoid's elements,
 and the relation functions (subuniverses, congruences) take a groupoid.
+A subuniverse is a frozenset of indices, and an equivalence relation is a
+``Partition``: its block ids, in restricted-growth order.
 The .gpd reader splits the rows' UTF-8 bytes at str.split's separators in one
 numpy pass, and a trie over the names' bytes maps all tokens, a gather a byte.
 """
@@ -89,54 +91,37 @@ class Groupoid:
 
 @dataclass(frozen=True)
 class Partition:
-    """An equivalence relation on {0,..,n-1} given by its blocks.
+    """An equivalence relation on {0,..,n-1} given by its block ids.
 
-    Blocks are stored sorted internally (each block ascending, blocks
-    ordered by smallest member) so equal partitions compare equal.
+    The constructor takes any labelling of the elements (x and y share a
+    block iff their labels are equal) and renumbers it in restricted-growth
+    order, blocks numbered by least member, so equal partitions compare
+    equal.  ``blocks`` lists each block ascending, in the same order.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    ids: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        if not blocks or any(not b for b in blocks):
-            raise ValueError("blocks must be nonempty")
-        seen = [x for b in blocks for x in b]
-        n = len(seen)
-        if sorted(seen) != list(range(n)):
-            raise ValueError("blocks must be disjoint and cover 0..n-1")
-        object.__setattr__(self, "blocks", blocks)
+        first: dict = {}
+        ids = tuple(first.setdefault(label, len(first)) for label in self.ids)
+        if not ids:
+            raise ValueError("a partition needs at least one element")
+        object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return len(self.ids)
 
-    def block_ids(self) -> list[int]:
-        """Element index -> id of its block (ids follow block order)."""
-        ids = [0] * self.n
-        for k, b in enumerate(self.blocks):
-            for x in b:
-                ids[x] = k
-        return ids
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        blocks = [[] for _ in range(max(self.ids) + 1)]
+        for x, k in enumerate(self.ids):
+            blocks[k].append(x)
+        return tuple(map(tuple, blocks))
 
     def __repr__(self):
         inner = " | ".join(",".join(map(str, b)) for b in self.blocks)
         return f"Partition({inner})"
-
-
-@dataclass(frozen=True)
-class SubsetWitness:
-    """A relation (partition or index subset) separating two operations:
-    preserved by one of them and violated by the other."""
-
-    kind: str  # "partition" or "subset"
-    payload: object
-
-    def __post_init__(self):
-        if self.kind not in ("partition", "subset"):
-            raise ValueError(f"bad witness kind {self.kind!r}")
-        if self.kind == "subset" and not self.payload:
-            raise ValueError("subset payload must be nonempty")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +261,7 @@ def generated_congruence(g: Groupoid, pairs) -> Partition:
             ids[ids == high] = low
         t = ids[g.table]
         pending = {pair for first in (t[ids], t[:, ids]) for pair in zip(t[t != first].tolist(), first[t != first].tolist())}
-    return Partition(tuple(tuple(np.flatnonzero(ids == label).tolist()) for label in np.unique(ids)))
+    return Partition(ids.tolist())
 
 
 def is_congruence(g: Groupoid, p: Partition) -> bool:
@@ -288,9 +273,9 @@ def is_congruence(g: Groupoid, p: Partition) -> bool:
     """
     if p.n != g.n:
         raise ValueError("partition size does not match groupoid")
-    ids = np.asarray(p.block_ids())
-    firsts = np.array([b[0] for b in p.blocks])[ids]
-    t = ids[g.table]
+    least: dict = {}
+    firsts = [least.setdefault(k, x) for x, k in enumerate(p.ids)]
+    t = np.array(p.ids)[g.table]
     return bool(np.array_equal(t, t[firsts]) and np.array_equal(t, t[:, firsts]))
 
 
@@ -302,9 +287,9 @@ def quotient(g: Groupoid, p: Partition) -> Groupoid:
     """
     if not is_congruence(g, p):
         raise ValueError("partition is not a congruence")
-    firsts = [b[0] for b in p.blocks]
+    ids, firsts = np.array(p.ids), [b[0] for b in p.blocks]
     names = tuple("+".join(g.names[x] for x in b) for b in p.blocks)
-    return Groupoid(names, np.asarray(p.block_ids())[g.table[np.ix_(firsts, firsts)]])
+    return Groupoid(names, ids[g.table[np.ix_(firsts, firsts)]])
 
 
 def find_isomorphism(g1: Groupoid, g2: Groupoid) -> tuple[int, ...] | None:

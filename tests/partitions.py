@@ -3,14 +3,6 @@
 from grpd.core import Partition
 
 
-def partition_of(labels):
-    """The partition of range(len(labels)) whose blocks are the elements with equal labels."""
-    blocks = {}
-    for x, label in enumerate(labels):
-        blocks.setdefault(label, []).append(x)
-    return Partition(tuple(map(tuple, blocks.values())))
-
-
 def restricted_growth_strings(n, prefix=()):
     """Every string of length n that starts at 0 and never rises more than
     one above its running maximum, in lexicographic order."""
@@ -24,4 +16,4 @@ def restricted_growth_strings(n, prefix=()):
 def all_partitions(n):
     """Every partition of {0,..,n-1} once: finest first, and in
     restricted-growth order within one block count."""
-    return [partition_of(r) for r in sorted(restricted_growth_strings(n), key=lambda r: -max(r))]
+    return [Partition(r) for r in sorted(restricted_growth_strings(n), key=lambda r: -max(r))]

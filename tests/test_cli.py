@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import time
@@ -6,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import grpd
 from grpd import cli, clone
 from grpd.catalog import catalog_get, catalog_list
 from grpd.cli import main
@@ -198,6 +200,25 @@ def test_variety_lists_are_pinned(capsys, g1_file):
                    "left-zero, rect-band, right-regular-band, right-zero, semigroup, Cp:<prime>\n")
 
 
+def test_public_api_is_pinned():
+    # a name added to or dropped from the package shows here; the API keeps only names
+    # a command or a claim calls, plus left_depth_sequence and run_claims
+    names = sorted(name for name, value in vars(grpd).items() if not name.startswith("_") and not inspect.ismodule(value))
+    assert names == [
+        "BinaryClonePart", "CatalogEntry", "ClaimResult", "Groupoid", "GuardError", "Identity", "ParseError",
+        "Partition", "SearchSummary", "ShReport", "SpectrumReport", "Term", "binary_clone_part",
+        "binary_minimality_proxy", "binary_term_table", "build_ak", "build_chain_groupoid", "build_f2_cp",
+        "catalan", "catalog_get", "catalog_list", "check_sh_factor_property", "dual", "enumerate_bracketings",
+        "evaluate", "f2_table", "find_isomorphism", "find_relational_witness", "generate_subuniverse",
+        "generated_congruence", "generates_basic", "in_A", "in_B", "in_Cp", "in_D", "in_D_cap_A",
+        "is_congruence", "is_idempotent", "is_left_regular_band", "is_left_zero", "is_rect_band",
+        "is_right_regular_band", "is_right_zero", "is_semigroup", "is_trivial_clone", "left_depth_sequence",
+        "ns_index", "nulla_satisfied", "parse_groupoid", "parse_identity", "parse_term", "quotient",
+        "run_claims", "satisfies_D_scheme", "satisfies_identity", "scheme_identity", "search_tables",
+        "spectrum", "spectrum_ak_oracle", "term_function", "term_to_string", "write_groupoid",
+    ]
+
+
 @pytest.fixture()
 def f2cp2_file(tmp_path):
     path = tmp_path / "f2cp-2.gpd"
@@ -292,6 +313,24 @@ def test_clone_f2_proxy_json_over_the_catalog_is_pinned(capsys, tmp_path):
         assert err == ""
         digest.update(f"{name}\n{code}\n{out}".encode())
     assert digest.hexdigest() == "3aa40417d04f119a2f299841fd7e5adc32eccf679a7b06a25d555138283b8471"
+
+
+def test_clone_witness_text_and_json_over_the_catalog_are_pinned(capsys, tmp_path):
+    # the suspects: the proxy's witness term when the proxy fails, then three fixed terms;
+    # the digests hold the subset and partition text, the JSON and the exit codes
+    text, doc = hashlib.sha256(), hashlib.sha256()
+    for name in catalog_list():
+        path = tmp_path / f"{name}.gpd"
+        path.write_text(write_groupoid(catalog_get(name).groupoid))
+        code, out, _ = run(capsys, "clone", str(path), "--proxy", "--json")
+        failing = [json.loads(out)["proxy"]["witness"]] if code == 1 else []
+        for term in failing + ["(x (y x))", "(x (x y))", "x"]:
+            code, out, err = run(capsys, "clone", str(path), "--proxy", "--witness", term)
+            text.update(f"{name}\n{term}\n{code}\n{out}{err}".encode())
+            code, out, err = run(capsys, "clone", str(path), "--witness", term, "--json")
+            doc.update(f"{name}\n{term}\n{code}\n{out}{err}".encode())
+    assert text.hexdigest() == "c782e02de0bad7d81664fb8bd62591484869e0232376b66e3f1580a84a605f25"
+    assert doc.hexdigest() == "7444e0586c8d9b486c94dea1c43784dcf2988a14bcc042730f8c073d62a50958"
 
 
 @pytest.mark.parametrize("flags", [("--f2", "--proxy"), ("--f2", "--proxy", "--json"), ("--proxy",)])
@@ -401,8 +440,8 @@ def test_no_relation_separates_only_a_suspect_that_generates_the_product(capsys,
         g = Groupoid(("a", "b", "c"), table)
         part = parts[g.table.tobytes()] = clone.binary_clone_part(g)
         suspects = ["(x y)"]
-        if len(part) > 2 and not (verdict := clone.binary_minimality_proxy(part)).passes:
-            suspects.append(verdict.witness_name)
+        if len(part) > 2 and (witness := clone.binary_minimality_proxy(part)) is not None:
+            suspects.append(witness)
         path.write_text(write_groupoid(g))
         for term in suspects:
             generated = clone.generates_basic(g, clone.binary_term_table(g, parse_term(term)))

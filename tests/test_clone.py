@@ -15,7 +15,7 @@ from grpd.clone import (
     generates_basic,
     is_trivial_clone,
 )
-from grpd.core import Groupoid, find_isomorphism, parse_groupoid
+from grpd.core import Groupoid, Partition, find_isomorphism, parse_groupoid
 from grpd.errors import GuardError
 from grpd.terms import is_left_zero, is_right_zero, parse_term
 
@@ -148,13 +148,12 @@ def test_trivial_clone_matches_closure_size4_sample():
 
 def test_proxy_passes_on_g_entries():
     for i in range(1, 11):
-        assert binary_minimality_proxy(binary_clone_part(cat(f"G{i}"))).passes
+        assert binary_minimality_proxy(binary_clone_part(cat(f"G{i}"))) is None
 
 
 def test_proxy_fails_on_aba4():
-    verdict = binary_minimality_proxy(binary_clone_part(cat("aba-4")))
-    assert not verdict.passes
-    assert verdict.witness_name is not None
+    witness = binary_minimality_proxy(binary_clone_part(cat("aba-4")))
+    assert witness is not None
     g = cat("aba-4")
     x_yx = binary_term_table(g, parse_term("(x (y x))"))
     assert not generates_basic(g, x_yx)
@@ -162,20 +161,20 @@ def test_proxy_fails_on_aba4():
 
 def test_proxy_fails_on_aab_eps():
     g = cat("aab-eps")
-    assert not binary_minimality_proxy(binary_clone_part(g)).passes
+    assert binary_minimality_proxy(binary_clone_part(g)) is not None
     x_xy = binary_term_table(g, parse_term("(x (x y))"))
     assert not generates_basic(g, x_xy)
 
 
-@pytest.mark.parametrize("table, passes, witness", [
+@pytest.mark.parametrize("table, witness", [
     # idempotent tables whose binary clone holds all 729 idempotent ops
-    ([[0, 0, 1], [2, 1, 0], [0, 0, 2]], False, "(y (x y))"),
-    ([[0, 0, 1], [2, 1, 0], [0, 1, 2]], False, "((x y) y)"),
+    ([[0, 0, 1], [2, 1, 0], [0, 0, 2]], "(y (x y))"),
+    ([[0, 0, 1], [2, 1, 0], [0, 1, 2]], "((x y) y)"),
     # passes, though its ternary part holds semiprojections: not minimal
-    ([[0, 0, 0], [1, 1, 2], [2, 1, 2]], True, None),
+    ([[0, 0, 0], [1, 1, 2], [2, 1, 2]], None),
 ])
-def test_proxy_pinned_on_three_element_tables(table, passes, witness):
-    assert binary_minimality_proxy(binary_clone_part(Groupoid(("a", "b", "c"), table))) == clone.ProxyVerdict(passes, witness)
+def test_proxy_pinned_on_three_element_tables(table, witness):
+    assert binary_minimality_proxy(binary_clone_part(Groupoid(("a", "b", "c"), table))) == witness
 
 
 def test_clone_closure_memory_is_bounded_past_the_guard():
@@ -210,17 +209,17 @@ def test_witness_aba4_partition():
     g = cat("aba-4")
     suspect = binary_term_table(g, parse_term("(x (y x))"))
     w = find_relational_witness(g, suspect)
-    assert w is not None and w.kind == "partition"
+    assert isinstance(w, Partition)
     b, d = g.index("b"), g.index("d")
-    assert (b, d) in w.payload.blocks
+    assert (b, d) in w.blocks
 
 
 def test_witness_aab_subset():
     g = cat("aab-eps")
     suspect = binary_term_table(g, parse_term("(x (x y))"))
     w = find_relational_witness(g, suspect)
-    assert w is not None and w.kind == "subset"
-    assert w.payload == frozenset({g.index("a"), g.index("b"), g.index("e")})
+    assert isinstance(w, frozenset)
+    assert w == frozenset({g.index("a"), g.index("b"), g.index("e")})
 
 
 def test_witness_none_for_basic_op_itself():
@@ -243,8 +242,8 @@ def test_witness_partition_pass_answers_up_to_the_witness_cap():
     for n in (12, 13, 20):
         chain = min_chain(n)
         w = find_relational_witness(chain, binary_term_table(chain, parse_term("x")))
-        assert w.kind == "partition"
-        assert w.payload.blocks == ((0, 2), (1,)) + tuple((i,) for i in range(3, n))
+        assert isinstance(w, Partition)
+        assert w.blocks == ((0, 2), (1,)) + tuple((i,) for i in range(3, n))
     chain = min_chain(21)
     with pytest.raises(GuardError, match=r"^witness search capped at n=20$"):
         find_relational_witness(chain, binary_term_table(chain, parse_term("x")))
@@ -259,7 +258,7 @@ def test_witness_search_generates_one_relation_per_pair(monkeypatch):
         monkeypatch.setattr(clone, name, counted)
     n = 20
     chain = min_chain(n)
-    assert find_relational_witness(chain, binary_term_table(chain, parse_term("x"))).kind == "partition"
+    assert isinstance(find_relational_witness(chain, binary_term_table(chain, parse_term("x"))), Partition)
     assert calls["generate_subuniverse"] <= n * (n + 1) // 2
     assert calls["generated_congruence"] <= n * (n - 1) // 2
 
@@ -267,7 +266,7 @@ def test_witness_search_generates_one_relation_per_pair(monkeypatch):
 def test_witness_subset_past_the_partition_cap():
     z13 = elements(13, np.add.outer(np.arange(13), np.arange(13)) % 13)
     w = find_relational_witness(z13, binary_term_table(z13, parse_term("x")))
-    assert w.kind == "subset" and w.payload == frozenset({1})
+    assert isinstance(w, frozenset) and w == frozenset({1})
 
 
 def test_binary_term_table_validates_vars():

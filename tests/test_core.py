@@ -323,61 +323,76 @@ def test_partitions_run_finest_first_in_restricted_growth_order(n):
     # every restricted-growth string: starts at 0, each entry at most one above the max before it
     strings = [r for r in itertools.product(range(n), repeat=n)
                if all(r[i] <= max(r[:i], default=-1) + 1 for i in range(n))]
-    assert [tuple(p.block_ids()) for p in parts] == sorted(strings, key=lambda r: (-max(r), r))
+    assert [p.ids for p in parts] == sorted(strings, key=lambda r: (-max(r), r))
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        Partition(((0,), (2,)))
+    with pytest.raises(ValueError, match="at least one element"):
+        Partition(())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True))))
+def test_partition_normalizes_any_labelling(case):
+    labels, images = case  # images[label] relabels injectively
+    p, q = Partition(labels), Partition([images[label] for label in labels])
+    assert p == q and hash(p) == hash(q)
+    n = len(labels)
+    assert all((p.ids[x] == p.ids[y]) == (labels[x] == labels[y]) for x in range(n) for y in range(n))
+    assert all(k in range(max(p.ids[:x], default=-1) + 2) for x, k in enumerate(p.ids))
+    assert all(list(b) == sorted(b) for b in p.blocks)
+    assert [b[0] for b in p.blocks] == sorted(b[0] for b in p.blocks)
+    assert len(p.blocks) == max(p.ids) + 1 and sum(map(len, p.blocks)) == p.n == n
+    assert all(x in p.blocks[k] for x, k in enumerate(p.ids))
 
 
 # --- congruences and quotients -----------------------------------------------
 
 def test_g1_congruence_ef():
     g = cat("G1")
-    p = Partition(((0,), (1,), (2,), (3, 4)))
+    p = Partition((0, 1, 2, 3, 3))
     assert is_congruence(g, p)
 
 
 def test_all_singletons_always_congruence():
     for name in ("G1", "G6", "aab-eps"):
         g = cat(name)
-        p = Partition(tuple((i,) for i in range(g.n)))
+        p = Partition(range(g.n))
         assert is_congruence(g, p)
 
 
 def test_g6_merging_f_g_is_congruence():
     g = cat("G6")
     f, gg = g.index("f"), g.index("g")
-    blocks = tuple((i,) for i in range(g.n) if i not in (f, gg)) + ((f, gg),)
-    assert is_congruence(g, Partition(blocks))
+    labels = [f if i == gg else i for i in range(g.n)]
+    assert is_congruence(g, Partition(labels))
 
 
 def test_quotient_g1_is_g2():
     g = cat("G1")
-    q = quotient(g, Partition(((0,), (1,), (2,), (3, 4))))
+    q = quotient(g, Partition((0, 1, 2, 3, 3)))
     assert q.names == ("a", "b", "c", "e+f")
     assert find_isomorphism(q, cat("G2")) is not None
 
 
 def test_quotient_by_singletons_is_identity():
     g = cat("G4")
-    q = quotient(g, Partition(tuple((i,) for i in range(g.n))))
+    q = quotient(g, Partition(range(g.n)))
     assert np.array_equal(q.table, g.table)
 
 
 def test_quotient_g4_merge_ef_is_g5():
     g = cat("G4")
-    p = Partition(((0,), (1,), (2,), (g.index("e"), g.index("f")), (5,)))
+    p = Partition([g.index("e") if name == "f" else i for i, name in enumerate(g.names)])
     assert find_isomorphism(quotient(g, p), cat("G5")) is not None
 
 
 def test_quotient_requires_congruence():
     g = cat("G3")
     with pytest.raises(ValueError, match="congruence"):
-        quotient(g, Partition(((0, 1), (2,))))
+        quotient(g, Partition((0, 0, 1)))
 
 
 def test_quotient_well_defined_all_representatives():
@@ -387,10 +402,9 @@ def test_quotient_well_defined_all_representatives():
         for p in all_partitions(g.n):
             if not is_congruence(g, p):
                 continue
-            ids = p.block_ids()
             for ab in p.blocks:
                 for bb in p.blocks:
-                    results = {ids[g.prod(x, y)] for x in ab for y in bb}
+                    results = {p.ids[g.prod(x, y)] for x in ab for y in bb}
                     assert len(results) == 1
 
 

@@ -21,7 +21,7 @@ from grpd import claims, clone, nonassoc, search, terms
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness, generates_basic
 from grpd.core import (
-    Groupoid, SubsetWitness, dual, find_isomorphism, generate_subuniverse, generated_congruence, is_congruence,
+    Groupoid, Partition, dual, find_isomorphism, generate_subuniverse, generated_congruence, is_congruence,
 )
 from grpd.errors import GuardError
 from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
@@ -30,7 +30,7 @@ from grpd.spectrum import spectrum
 from grpd.terms import Identity, eval_term, evaluate, is_semigroup, parse_identity, prod, satisfies_identity, var
 
 from brute import spectrum_classes
-from partitions import all_partitions, partition_of
+from partitions import all_partitions
 
 
 def groupoid_of(size, cells):
@@ -332,10 +332,10 @@ def test_binary_term_table_matches_pointwise(g, term):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
-    st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(partition_of))))
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(Partition))))
 def test_partition_compatibility_matches_pairwise(case):
     g, p = case
-    ids = p.block_ids()
+    ids = p.ids
     pairs = [(a, b) for a, b in itertools.product(range(g.n), repeat=2) if ids[a] == ids[b]]
     want = all(ids[g.prod(a, b)] == ids[g.prod(a2, b2)] for a, a2 in pairs for b, b2 in pairs)
     assert is_congruence(g, p) == want
@@ -343,8 +343,7 @@ def test_partition_compatibility_matches_pairwise(case):
 
 def finer(p, q):
     """Is every block of p inside a block of q?"""
-    ids = q.block_ids()
-    return all(len({ids[x] for x in b}) == 1 for b in p.blocks)
+    return all(len({q.ids[x] for x in b}) == 1 for b in p.blocks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -354,12 +353,10 @@ def finer(p, q):
 def test_generated_congruence_is_the_finest_preserved_partition_holding_the_pairs(case):
     g, pairs = case
     theta = generated_congruence(g, pairs)
-    ids = theta.block_ids()
-    assert all(ids[a] == ids[b] for a, b in pairs)
+    assert all(theta.ids[a] == theta.ids[b] for a, b in pairs)
     assert is_congruence(g, theta)
     for p in all_partitions(g.n):
-        p_ids = p.block_ids()
-        if is_congruence(g, p) and all(p_ids[a] == p_ids[b] for a, b in pairs):
+        if is_congruence(g, p) and all(p.ids[a] == p.ids[b] for a, b in pairs):
             assert finer(theta, p)
 
 
@@ -370,7 +367,7 @@ def test_generated_congruence_is_the_finest_preserved_partition_holding_the_pair
 def test_separating_congruences_match_the_filtered_partitions(case):
     g, x, y = case
     want = [p for p in all_partitions(g.n)
-            if 1 < len(p.blocks) < g.n and p.block_ids()[x] != p.block_ids()[y] and is_congruence(g, p)]
+            if 1 < len(p.blocks) < g.n and p.ids[x] != p.ids[y] and is_congruence(g, p)]
     assert claims._separating_congruences(g, x, y) == want
 
 
@@ -411,13 +408,13 @@ def replaced_relational_witness(g, suspect):
     for mask in range(1, 1 << n):
         members = {i for i in range(n) if mask >> i & 1}
         if closed(s, members) and not closed(f, members):
-            return SubsetWitness("subset", frozenset(members))
+            return frozenset(members)
     strings = [r for r in itertools.product(range(n), repeat=n)
                if all(r[i] <= max(r[:i], default=-1) + 1 for i in range(n))]
     for nblocks in range(n - 1, 1, -1):
         for ids in strings:
             if max(ids) + 1 == nblocks and compatible(s, ids) and not compatible(f, ids):
-                return SubsetWitness("partition", partition_of(ids))
+                return Partition(ids)
     return None
 
 
