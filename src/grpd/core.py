@@ -230,7 +230,9 @@ def subuniverse_mask(g: Groupoid, closed: np.ndarray, seeds) -> np.ndarray:
         inside, before = mask.nonzero()[0], mask.copy()
         if len(inside) == g.n:  # a round on the whole carrier finds nothing new
             break
-        mask[g.table[frontier[:, None], inside]] = mask[g.table[inside[:, None], frontier]] = True
+        mask[g.table[frontier[:, None], inside]] = True
+        if len(frontier) < len(inside):  # else the frontier is the whole set, and one way is both
+            mask[g.table[inside[:, None], frontier]] = True
         frontier = (mask ^ before).nonzero()[0]
     return mask
 
@@ -238,7 +240,9 @@ def subuniverse_mask(g: Groupoid, closed: np.ndarray, seeds) -> np.ndarray:
 def generating_set(g: Groupoid) -> list[int]:
     """The elements outside the table's image, which every generating set
     holds, then each least element outside the subuniverse generated so far."""
-    gens = np.flatnonzero(np.bincount(g.table.ravel(), minlength=g.n) == 0).tolist()
+    image = np.zeros(g.n, bool)
+    image[g.table] = True
+    gens = np.flatnonzero(~image).tolist()
     closed = subuniverse_mask(g, np.zeros(g.n, bool), gens)
     while not closed.all():
         gens.append(int(np.argmin(closed)))

@@ -2,11 +2,27 @@
 
 The index counts the triples (a,b,c) with (ab)c != a(bc).  A groupoid
 with exactly one such triple is an SH-groupoid; it is minimal when the
-triple generates the whole carrier.  Light's test (Clifford & Preston,
-*The Algebraic Theory of Semigroups* I, section 1.2, 1961) decides
-associativity from the middles b in a generating set: the b with
-(ab)c = a(bc) for all a, c are closed under the product.  The defects at
-a depend only on row a, so the census counts each distinct row once.
+triple generates the whole carrier.  The defects at a depend only on
+row a, so the census counts each distinct row once.
+
+Call a pair (a, b) associative when (ab)c = a(bc) for every c.  If
+(a, b1), (b1, b2) and (ab1, b2) are associative, so is (a, b1b2): for
+every c,
+
+    (a(b1b2))c = ((ab1)b2)c     by (a, b1) at c = b2,
+               = (ab1)(b2c)     by (ab1, b2),
+               = a(b1(b2c))     by (a, b1) at b2c,
+               = a((b1b2)c)     by (b1, b2).
+
+Its base case is Light's test (Clifford & Preston, *The Algebraic Theory
+of Semigroups* I, section 1.2, 1961): if every (a, s) with s in a
+generating set is associative, every pair is, since the b with (a, b)
+associative for all a are closed under the product.  ``is_semigroup``
+asks only that.  Above one slab (n^3 > ``SLAB_CELLS``) the census of a
+large table with a small generating set counts the pairs (a, s) directly,
+then closes the generating set under the product and censuses only the
+pairs that the lemma leaves uncertified (``ns_index`` says when); at or
+below one slab it censuses every pair, in that slab.
 """
 
 from __future__ import annotations
@@ -73,15 +89,30 @@ def is_semigroup(g: Groupoid) -> bool:
 
 
 def ns_index(g: Groupoid) -> ShReport:
-    """Exact count of nonassociative triples, listed in index order.  Above one slab
-    a table passing Light's test (``is_semigroup``) has none.  Otherwise each distinct
-    row is censused once; a repeated row counts again and lists its first's triples."""
+    """Exact count of nonassociative triples, listed in index order.
+
+    The defects of a pair (a, b), the c with (ab)c != a(bc), depend only on row a, so
+    each distinct row is censused once; a repeated row counts again and lists its
+    first's triples.  At or below one slab (n^3 <= ``SLAB_CELLS``) every pair is
+    censused, in that slab.  Above it, the lemma of the module docstring takes over
+    (``_closure_census``) when the census by rows would span over four slabs, about what
+    the closure's rounds cost in fixed calls, and a generating set (``generating_set``)
+    has at most n/2 elements; its first step censuses the pairs (row, s), Light's test's
+    own gathers.  Otherwise Light's test is only asked, over the distinct rows, stopping
+    at its first defect: with more generators it gathers over half the census anyway.  A
+    table that fails it, or whose pairs (row, s) have defects in over an eighth of them
+    (a random table has them in nearly all), is censused by rows of a."""
     n = g.n
-    if n ** 3 > SLAB_CELLS and is_semigroup(g):
-        return ShReport(0, ())
-    first = {}
-    rep = [first.setdefault(key, a) for a, key in enumerate(g.table.view(f"V{8 * n}").ravel().tolist())]
-    rows, repeats = list(first.values()), Counter(rep)
+    rep, rows = _distinct_rows(g)
+    repeats = Counter(rep)
+    if n ** 3 > SLAB_CELLS:
+        gens = generating_set(g)
+        if 2 * len(gens) <= n and len(rows) * n * n > 4 * SLAB_CELLS:
+            report = _closure_census(g, rep, rows, gens)
+            if report is not None:
+                return report
+        elif not any(mask.any() for _, mask in defect_slabs(g, rows=rows, middles=gens)):
+            return ShReport(0, ())
     count, found, seen = 0, defaultdict(list), 0
     for lo, mask in defect_slabs(g, rows=rows if len(rows) < n else None):
         slab_rows = rows[lo:lo + len(mask)]
@@ -92,11 +123,111 @@ def ns_index(g: Groupoid) -> ShReport:
             for k, bc in zip(ks.tolist(), bcs.tolist()):
                 found[slab_rows[k]].append(bc)
             seen += len(bcs)
-    listed = list(islice(((a, *divmod(bc, n)) for a in range(n) for bc in found[rep[a]]), TRIPLE_LIST_CAP))
+    return _report(g, count, list(islice(((a, *divmod(bc, n)) for a in range(n) for bc in found[rep[a]]), TRIPLE_LIST_CAP)))
+
+
+def _distinct_rows(g: Groupoid) -> tuple[list[int], list[int]]:
+    """rep[a], the least element whose row equals a's, and the distinct rows' least elements."""
+    t = g.narrow_table
+    first: dict = {}
+    rep = [first.setdefault(key, a) for a, key in enumerate(t.view(f"V{t.itemsize * g.n}").ravel().tolist())]
+    return rep, list(first.values())
+
+
+def _closure_census(g: Groupoid, rep, rows, gens, share: int = 8) -> ShReport | None:
+    """The census through the lemma, from ``_distinct_rows``'s rep and rows; None once
+    over 1/share of the pairs (row, s), s in ``gens``, have a defect.  Past an eighth,
+    most pairs stay uncertified, and censusing them costs more than the census by rows.
+
+    The pairs (row, s) are censused first, as one box.  Then the known middles, the
+    generators at first, are closed under the product in rounds as in
+    ``core.subuniverse_mask``: the frontier times the known set, both ways.  Each new b
+    takes one decomposition b1 b2 from the round's products.  A pair (a, b) is
+    certified, and has no defect, when (a, b1), (b1, b2) and (ab1, b2) are associative;
+    the others are censused (``_census_round``).  When every pair of the unknown
+    middles costs fewer cells than the round's products, they are censused at once.
+    The listing gathers the first pairs with a defect again."""
+    n, t = g.n, g.narrow_table
+    ids, rows = np.searchsorted(rows, rep), np.array(rows)  # a's row is rows[ids[a]]
+    repeats = np.bincount(ids)
+    assoc = np.zeros((len(rows), n), bool)  # for the known middles b: is (rows[r], b) associative?
+    frontier = np.array(gens)
+    count = _census_round(g, rows, repeats, assoc, frontier, np.zeros((len(rows), len(gens)), bool),
+                          len(rows) * len(gens) // share)
+    if count is None:
+        return None
+    if count == 0:  # Light's test
+        return ShReport(0, ())
+    known = np.zeros(n, bool)
+    known[frontier] = True
+    row_products = t[rows]
+    while not known.all():
+        inside, rest = known.nonzero()[0], np.flatnonzero(~known)
+        if 2 * len(frontier) * len(inside) > len(rows) * len(rest) * n:
+            frontier, certified = rest, np.zeros((len(rows), len(rest)), bool)
+        else:
+            split = np.full(n, -1)  # split[b] = b1 * n + b2 with b = b1 b2
+            for left, right in ((frontier, inside), (inside, frontier)):
+                split[t.take(left, axis=0).take(right, axis=1)] = left[:, None] * n + right
+            frontier = np.flatnonzero((split >= 0) & ~known)
+            b1, b2 = np.divmod(split[frontier], n)
+            certified = assoc.take(b1, axis=1) & assoc[ids[b1], b2] & assoc[ids.take(row_products.take(b1, axis=1)), b2]
+        count += _census_round(g, rows, repeats, assoc, frontier, certified)
+        known[frontier] = True
+    a, b = np.divmod(np.flatnonzero(~assoc[ids])[:TRIPLE_LIST_CAP], n)
+    listed: list = []
+    for lo, mask in _pair_slabs(g, a, b):
+        k, c = np.nonzero(mask)
+        listed += zip(a[lo + k].tolist(), b[lo + k].tolist(), c.tolist())
+        if len(listed) >= TRIPLE_LIST_CAP:
+            break
+    return _report(g, count, listed[:TRIPLE_LIST_CAP])
+
+
+def _census_round(g: Groupoid, rows, repeats, assoc, middles, certified, limit=None) -> int | None:
+    """Record in ``assoc[:, middles]`` which pairs (rows[r], middles[j]) are associative
+    and return their defects, row r counted repeats[r] times.  A pair with
+    certified[r, j] has none.  The others are censused pair by pair (``_pair_slabs``),
+    or, when they are over a third of the round, as the box of every row and middle
+    (``defect_slabs``), whose cells cost about a third as much; a box stops, returning
+    None, once more than ``limit`` of its pairs have a defect."""
+    assoc[:, middles] = certified
+    dtype, count, failing = np.min_scalar_type(g.n), 0, 0
+    if 3 * np.count_nonzero(~certified) > certified.size:
+        for lo, mask in defect_slabs(g, rows=rows, middles=middles):
+            defects = mask.sum(axis=2, dtype=dtype)
+            assoc[lo:lo + len(mask), middles] = defects == 0
+            count += int((repeats[lo:lo + len(mask)] @ defects).sum())
+            failing += np.count_nonzero(defects)
+            if limit is not None and failing > limit:
+                return None
+        return count
+    r, j = np.nonzero(~certified)
+    for lo, mask in _pair_slabs(g, rows[r], middles[j]):
+        defects = mask.sum(axis=1, dtype=dtype)
+        r_slab = r[lo:lo + len(mask)]
+        assoc[r_slab, middles[j[lo:lo + len(mask)]]] = defects == 0
+        count += int(repeats[r_slab] @ defects)
+    return count
+
+
+def _pair_slabs(g: Groupoid, a, b):
+    """Yield (lo, mask) per slab of the pairs (a[k], b[k]): mask[k, c] is (ab)c != a(bc).
+    (ab)c copies rows of ``g.narrow_table``; a(bc) is gathered through a flat intp index
+    of the slab's cells, 8 bytes a cell, so a slab holds at most SLAB_CELLS / 4 cells,
+    or one pair, and its index stays within 2 x SLAB_CELLS bytes."""
+    t = g.narrow_table
+    step = max(1, SLAB_CELLS // (4 * g.n))
+    for lo in range(0, len(a), step):
+        a_slab, b_slab = a[lo:lo + step], b[lo:lo + step]
+        yield lo, t.take(t[a_slab, b_slab], axis=0) != t.ravel().take(t.take(b_slab, axis=0) + a_slab[:, None] * g.n)
+
+
+def _report(g: Groupoid, count: int, listed: list) -> ShReport:
     sh_type = minimal = None
     if count == 1:
         sh_type = "".join("abc"[list(dict.fromkeys(listed[0])).index(x)] for x in listed[0])
-        minimal = generate_subuniverse(g, set(listed[0])) == frozenset(range(n))
+        minimal = generate_subuniverse(g, set(listed[0])) == frozenset(range(g.n))
     return ShReport(count, tuple(listed), sh_type, minimal)
 
 

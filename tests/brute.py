@@ -1,13 +1,14 @@
 """Brute-force references for the tests: the spectrum with every bracketing
 tabulated on its own, then grouped; subuniverses closed in Python sets; the
-defects of associativity by a pointwise triple loop; and the .gpd reader that
-splits each row into Python strings."""
+defects of associativity by a pointwise triple loop, and the census report
+built from them; and the .gpd reader that splits each row into Python strings."""
 
 import numpy as np
 
 from grpd.bracketings import enumerate_bracketings
 from grpd.core import Groupoid
 from grpd.errors import ParseError
+from grpd.nonassoc import TRIPLE_LIST_CAP, ShReport
 from grpd.spectrum import term_function
 
 
@@ -89,3 +90,13 @@ def defect_cube(g):
 def sh_type(triple):
     """The letters of a triple's pattern of equal entries, "aba" for (2, 0, 2)."""
     return "".join("abc"[list(dict.fromkeys(triple)).index(x)] for x in triple)
+
+
+def ns_report(g, defects=None):
+    """The census report of ``defects`` (by default ``defect_triples``): their count, the
+    first TRIPLE_LIST_CAP of them, and for a single one its type and whether it generates
+    the carrier (``subuniverse``)."""
+    defects = defect_triples(g) if defects is None else defects
+    if len(defects) != 1:
+        return ShReport(len(defects), tuple(defects[:TRIPLE_LIST_CAP]))
+    return ShReport(1, tuple(defects), sh_type(defects[0]), subuniverse(g, defects[0]) == frozenset(range(g.n)))

@@ -460,3 +460,35 @@ def test_search_size_below_one_exits_2(capsys, size):
     code, out, err = run(capsys, "search", "--size", size)
     assert (code, out) == (2, "")
     assert err == "error: search size must be >= 1\n"
+
+
+def large_tables():
+    """Seeded tables above one slab: Z_70 and Z_130 relabelled, each with three cells
+    changed; a uniform random 70-element table; and the 100-element table that is 0
+    except t[1,1] = 2 and t[2,1] = 99, whose rows 0 and 3..99 repeat."""
+    rng = np.random.default_rng(25)
+    tables = {}
+    for n in (70, 130):
+        perm = rng.permutation(n)
+        t = np.empty((n, n), dtype=np.int64)
+        t[np.ix_(perm, perm)] = perm[np.add.outer(np.arange(n), np.arange(n)) % n]
+        for _ in range(3):
+            i, j = rng.integers(n, size=2)
+            t[i, j] = (t[i, j] + rng.integers(1, n)) % n
+        tables[f"perturbed-{n}"] = t
+    tables["random-70"] = rng.integers(0, 70, (70, 70))
+    tables["repro-100"] = np.zeros((100, 100), dtype=np.int64)
+    tables["repro-100"][1, 1], tables["repro-100"][2, 1] = 2, 99
+    return tables
+
+
+def test_ns_and_sh_type_on_large_carriers_are_pinned(capsys, tmp_path):
+    # the digest holds each command's exit code, output and error text
+    digest = hashlib.sha256()
+    for name, table in large_tables().items():
+        path = tmp_path / f"{name}.gpd"
+        path.write_text(write_groupoid(Groupoid(tuple(map(str, range(len(table)))), table)))
+        for argv in (["ns", str(path), "--triples", "--json"], ["sh-type", str(path)]):
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{name}\n{argv[0]}\n{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == "0eacf82e38d1abb6a7caf38e2d581233bfb904d3568fcaa728a90f1e23cda1a5"

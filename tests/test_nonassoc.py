@@ -269,3 +269,93 @@ def test_answers_at_300_elements_match_the_full_census():
     got = answers(g)
     assert got == census_answers(g)
     assert got[1] > 0
+
+
+# --- the census above one slab: Light's test, then the closure lemma ---------
+
+
+@st.composite
+def census_tables(draw):
+    """2 to 12 elements: uniform cells, a relabelled Z_n with up to three cells
+    changed, rows drawn from fewer distinct rows, or cells from few values."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["uniform", "perturbed", "repeated", "few"]))
+    if kind == "perturbed":
+        return relabelled("cyclic", n, draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "repeated":
+        m = draw(st.integers(1, n - 1))
+        base = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m * n, max_size=m * n))).reshape(m, n)
+        return groupoid_of(n, base[draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))])
+    top = n - 1 if kind == "uniform" else min(2, n - 1)
+    return groupoid_of(n, draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n)))
+
+
+def closure_report(g, slab_cells):
+    """ns_index, and the closure census made to finish however many pairs (row, s) have a
+    defect (share=1), both with slabs of ``slab_cells`` cells."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonassoc, "SLAB_CELLS", slab_cells)
+        rep, rows = nonassoc._distinct_rows(g)
+        return ns_index(g), nonassoc._closure_census(g, rep, rows, generating_set(g), share=1)
+
+
+@pytest.mark.parametrize("slab_cells", [1, 64])
+@settings(max_examples=200, deadline=None)
+@given(census_tables())
+def test_census_above_one_slab_matches_triple_loop(slab_cells, g):
+    # 1: a pair per slab of direct checks; 64: several, and the one-slab census up to n = 4
+    want = brute.ns_report(g)
+    assert closure_report(g, slab_cells) == (want, want)
+
+
+@pytest.mark.parametrize("slab_cells", [1, 64])
+def test_census_past_the_cap_with_repeated_rows_matches_triple_loop(slab_cells):
+    rng = np.random.default_rng(11)
+    base = rng.integers(0, 12, (5, 12))
+    g = groupoid_of(12, base[rng.integers(0, 5, 12)])
+    want = brute.ns_report(g)
+    assert want.ns_count > TRIPLE_LIST_CAP and len(nonassoc._distinct_rows(g)[1]) == 5
+    assert closure_report(g, slab_cells) == (want, want)
+
+
+def inflated(g, copies):
+    """g with each of its first ``copies`` elements doubled: the copy has the same row
+    and column, so its row repeats the original's, and it is a generator."""
+    keep = np.r_[np.arange(g.n), np.arange(copies)]
+    return groupoid_of(len(keep), g.table[np.ix_(keep, keep)])
+
+
+def spied_ns_index(monkeypatch, g):
+    """ns_index(g) and what each call of the closure census returned in it."""
+    closure, results = nonassoc._closure_census, []
+
+    def spy(*args):
+        results.append(closure(*args))
+        return results[-1]
+
+    monkeypatch.setattr(nonassoc, "_closure_census", spy)
+    return ns_index(g), results
+
+
+def cube_report(g):
+    return brute.ns_report(g, list(map(tuple, np.argwhere(brute.defect_cube(g)).tolist())))
+
+
+@pytest.mark.parametrize("n, changed, copies", [(128, 1, 0), (100, 3, 40), (160, 3, 0), (200, 6, 50)])
+def test_closure_census_matches_the_full_census(monkeypatch, n, changed, copies):
+    # perturbed cyclic groups over four slabs, some with repeated rows: few pairs (row, s)
+    # have a defect, so the closure censuses them, and past the cap lists its first triples again
+    g = inflated(relabelled("cyclic", n, changed, n), copies)
+    want = cube_report(g)
+    assert spied_ns_index(monkeypatch, g) == (want, [want])
+    assert (want.ns_count > TRIPLE_LIST_CAP) == (changed > 1)
+
+
+def test_census_by_rows_when_the_closure_would_certify_little(monkeypatch):
+    # a random table has defects in nearly every pair (row, s), so the closure gives up
+    # after them; a semilattice's generating set is the whole carrier, and a perturbed
+    # Z_70's census by rows is under four slabs, so no closure is tried on them
+    random = groupoid_of(128, np.random.default_rng(128).integers(0, 128, (128, 128)))
+    assert spied_ns_index(monkeypatch, random) == (cube_report(random), [None])
+    for g in (relabelled("max", 70, 2, 70), relabelled("cyclic", 70, 1, 70)):
+        assert spied_ns_index(monkeypatch, g) == (cube_report(g), [])

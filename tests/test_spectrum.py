@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -349,3 +350,54 @@ def test_nulla_agrees_with_generic_checker():
             want = np.array_equal(term_function(g, ident.lhs), term_function(g, ident.rhs))
             assert satisfies_identity(g, ident)[0] == want
             assert nulla_satisfied(g, n) == want
+
+
+# --- semigroups above one slab: Light's test, no composition -----------------
+
+
+@st.composite
+def semigroups(draw):
+    """A relabelled Z_n, rectangular band I x J or chain semilattice (max), 2 to 8 elements."""
+    kind = draw(st.sampled_from(["cyclic", "rectangular band", "semilattice"]))
+    if kind == "rectangular band":
+        i, j = draw(st.sampled_from([(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]))
+        a, b = np.indices((i * j, i * j))
+        table = (a // j) * j + b % j  # (p, q)(r, s) = (p, s)
+    else:
+        a, b = np.indices((draw(st.integers(2, 8)),) * 2)
+        table = (a + b) % len(a) if kind == "cyclic" else np.maximum(a, b)
+    n = len(table)
+    perm = np.array(draw(st.permutations(range(n))))
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(perm, perm)] = perm[table]
+    return Groupoid(tuple(map(str, range(n))), relabelled)
+
+
+def spectrum_above_one_slab(g, max_n, budget=terms.DEFAULT_BUDGET):
+    """``spectrum`` with SLAB_CELLS = 1, so every table of two or more elements is above
+    one slab, and whether it composed any size (looked up a size's bracketings)."""
+    composed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonassoc, "SLAB_CELLS", 1)
+        # the module, not grpd.spectrum, which the package binds to the function
+        mp.setattr(sys.modules["grpd.spectrum"], "_shapes", lambda m: composed.append(m) or _shapes(m))
+        return spectrum(g, max_n, budget), bool(composed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroups(), st.integers(3, 7))
+def test_semigroup_spectrum_above_one_slab_matches_the_composition(g, max_n):
+    rep, composed = spectrum_above_one_slab(g, max_n)
+    assert rep == spectrum(g, max_n)
+    assert rep.values == (1,) * len(rep.values) and composed == (len(rep.values) < 3)
+
+
+def test_catalog_spectra_above_one_slab_match_the_composition_and_the_pinned_digests():
+    # semigroups take Light's test and gather nothing; the others still compose
+    pinned = json.loads((Path(__file__).parent / "spectrum-classes.json").read_text(encoding="utf-8"))
+    for name in catalog_list():
+        g = cat(name)
+        rep, composed = spectrum_above_one_slab(g, 7, SPECTRUM_CLAIM_BUDGET)
+        assert rep == spectrum(g, 7, budget=SPECTRUM_CLAIM_BUDGET), name
+        assert hashlib.sha256(repr(rep.classes).encode()).hexdigest() == pinned[name], name
+        assert composed != is_semigroup(g), name
