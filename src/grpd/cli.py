@@ -3,7 +3,12 @@
 Exit codes are stable across commands: 0 success / all-pass, 1 a
 checked property failed (a witness accompanies it), 2 usage, parse, or
 guard errors.  With --json each command prints a single JSON document
-on stdout (schemaVersion 1); diagnostics go to stderr.
+on stdout (schemaVersion 1); diagnostics go to stderr.  Running out of
+memory is exit 2 as well.
+
+The argument parser is built once, when this module is imported, and
+``main`` parses every call's argv with it, so ``main`` may be called
+any number of times in one process.
 """
 
 from __future__ import annotations
@@ -320,14 +325,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, GuardError, ValueError, KeyError, OSError) as exc:
         # str() of a KeyError quotes its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

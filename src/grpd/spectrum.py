@@ -12,7 +12,8 @@ already proves equal, from the classes of the size before.  Below the
 largest size each class keeps its whole table, the operand of later
 sizes; the largest size refines its classes slab by slab over rows of
 x1, a large one from a first slab of a single row, and keeps no table.
-A semigroup above one slab skips the composition: s(m) = 1 at every size.
+Above one slab Light's test skips the composition of a semigroup, s(m) = 1
+at every size, and of any other table up to size 3, where s(3) = 2.
 """
 
 from __future__ import annotations
@@ -75,7 +76,9 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     Above one slab (|A|^3 > ``nonassoc.SLAB_CELLS``) a top size of at least 3 first asks
     ``is_semigroup`` (Light's test).  In a semigroup every bracketing of x1..xm induces the
     same function (generalized associativity), so each size is one class of all its
-    bracketings, s(m) = 1, and nothing is gathered; any other table composes as below.
+    bracketings, s(m) = 1, and nothing is gathered.  Any other table has s(3) = 2, its two
+    bracketings differing at a defect, so a top size of exactly 3 gathers nothing either;
+    a larger one composes as below.
 
     Each level first groups its pairs (split, P, Q), in the order of their first
     bracketings, by substitution: bracketings B1 = B2 of size m-1 stay equal with x_i
@@ -105,8 +108,11 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     top = 1
     while top < max_n and catalan(top + 1) * n ** (top + 1) <= budget:
         top += 1
-    if top >= 3 and n ** 3 > nonassoc.SLAB_CELLS and nonassoc.is_semigroup(g):
-        return SpectrumReport((1,) * top, tuple((tuple(range(catalan(m))),) for m in range(1, top + 1)))
+    if top >= 3 and n ** 3 > nonassoc.SLAB_CELLS:
+        if nonassoc.is_semigroup(g):
+            return SpectrumReport((1,) * top, tuple((tuple(range(catalan(m))),) for m in range(1, top + 1)))
+        if top == 3:
+            return SpectrumReport((1, 1, 2), (((0,),), ((0,),), ((0,), (1,))))
     narrow = g.narrow_table
     found = [[np.arange(n, dtype=narrow.dtype)]]  # found[m-1]: each class's table, below the top
     ids = [[0]]  # ids[m-1]: each bracketing's class

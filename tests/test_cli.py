@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import inspect
 import itertools
@@ -30,7 +31,11 @@ def g3_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one command; a usage error's exit code is its SystemExit's."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -492,3 +497,41 @@ def test_ns_and_sh_type_on_large_carriers_are_pinned(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
             digest.update(f"{name}\n{argv[0]}\n{code}\n{out}{err}".encode())
     assert digest.hexdigest() == "0eacf82e38d1abb6a7caf38e2d581233bfb904d3568fcaa728a90f1e23cda1a5"
+
+
+def test_main_builds_no_parser_per_command(capsys, monkeypatch, g3_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    for argv in (["ns", g3_file], ["spectrum", g3_file, "--max-n", "3"], ["variety", g3_file, "B"], ["spectrum"]):
+        run(capsys, *argv)
+    assert built == []
+
+
+def test_main_is_reentrant(capsys, g3_file):
+    # each command's exit code and output, whichever commands ran before it in the process
+    commands = [
+        ["ns", g3_file, "--json"], ["ns", g3_file],
+        ["spectrum", g3_file, "--max-n", "3", "--classes"], ["spectrum", g3_file, "--max-n", "3"],
+        ["search", "--size", "3", "--check", "in_B"], ["search", "--size", "3"],
+        ["spectrum"], ["search", "--size", "5"], ["search", "--size", "3", "--check", "nope"],
+    ]
+    forward = [run(capsys, *argv) for argv in commands]
+    backward = [run(capsys, *argv) for argv in reversed(commands)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0, 0, 0, 0, 1, 1, 2, 2, 2]
+    assert "classes" not in forward[1][1] and "n=3: " not in forward[3][1]
+    assert "violating in_B" in forward[4][1] and "violating is_semigroup" in forward[5][1]
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("Unable to allocate 5.50 GiB for an array with shape (2048, 600, 600) and data type uint8"),
+     "error: out of memory: Unable to allocate 5.50 GiB for an array with shape (2048, 600, 600) and data type uint8\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy-message", "no-message"])
+def test_out_of_memory_exits_2(capsys, monkeypatch, g3_file, exc, err):
+    def exhausted(g):
+        raise exc
+    monkeypatch.setattr(cli, "binary_clone_part", exhausted)
+    assert run(capsys, "clone", g3_file) == (2, "", err)

@@ -401,3 +401,18 @@ def test_catalog_spectra_above_one_slab_match_the_composition_and_the_pinned_dig
         assert rep == spectrum(g, 7, budget=SPECTRUM_CLAIM_BUDGET), name
         assert hashlib.sha256(repr(rep.classes).encode()).hexdigest() == pinned[name], name
         assert composed != is_semigroup(g), name
+
+
+small_tables = st.integers(2, 6).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
+    lambda cells: Groupoid(tuple(map(str, range(n))), np.reshape(cells, (n, n)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_tables, semigroups().filter(lambda g: g.n <= 6)), st.sampled_from([3, 4]))
+def test_light_decides_s3_above_one_slab(g, max_n):
+    # a failed Light's test gives s(3) = 2, the two bracketings apart, with nothing
+    # composed; a top size of 4 composes unless the table is a semigroup
+    rep, composed = spectrum_above_one_slab(g, max_n)
+    assert rep.classes == tuple(spectrum_classes(g, m) for m in range(1, max_n + 1))
+    assert rep.values == tuple(map(len, rep.classes))
+    assert composed == (max_n > 3 and not is_semigroup(g))
