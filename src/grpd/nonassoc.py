@@ -18,11 +18,13 @@ Its base case is Light's test (Clifford & Preston, *The Algebraic Theory
 of Semigroups* I, section 1.2, 1961): if every (a, s) with s in a
 generating set is associative, every pair is, since the b with (a, b)
 associative for all a are closed under the product.  ``is_semigroup``
-asks only that.  Above one slab (n^3 > ``SLAB_CELLS``) the census of a
-large table with a small generating set counts the pairs (a, s) directly,
-then closes the generating set under the product and censuses only the
-pairs that the lemma leaves uncertified (``ns_index`` says when); at or
-below one slab it censuses every pair, in that slab.
+asks only that, for one a per distinct row and one s per distinct row
+and column (``_light_test``).  Above one slab (n^3 > ``SLAB_CELLS``)
+the census of a large table with a small generating set counts the
+pairs (a, s) directly, then closes the generating set under the product
+and censuses only the pairs that the lemma leaves uncertified
+(``ns_index`` says when); at or below one slab it censuses every pair,
+in that slab.
 """
 
 from __future__ import annotations
@@ -82,10 +84,24 @@ def defect_slabs(g: Groupoid, rows=None, middles=None):
 
 def is_semigroup(g: Groupoid) -> bool:
     """Associativity: no nonassociative triple.  Above one slab (n^3 >
-    ``SLAB_CELLS``) by Light's test over the middles in ``generating_set``;
-    at or below it over every middle, in the one slab."""
-    middles = generating_set(g) if g.n ** 3 > SLAB_CELLS else None
-    return not any(mask.any() for _, mask in defect_slabs(g, middles=middles))
+    ``SLAB_CELLS``) by Light's test (``_light_test``); at or below it over
+    every pair, in the one slab."""
+    if g.n ** 3 > SLAB_CELLS:
+        return _light_test(g, _distinct_rows(g)[1], generating_set(g))
+    return not any(mask.any() for _, mask in defect_slabs(g))
+
+
+def _light_test(g: Groupoid, rows, gens) -> bool:
+    """Light's test: no pair (a, s) with a defect, a over the distinct ``rows`` and s
+    over the generators ``gens``, one per distinct row and column.  Two generators s
+    and s' with equal rows and equal columns decide the same triples, since as = as'
+    and sc = s'c."""
+    t = g.narrow_table
+    middles = np.asarray(gens)
+    if len(middles) > 1:
+        middles = middles[_distinct(np.concatenate([t[middles], t.T[middles]], axis=1))[1]]
+    rows = rows if len(rows) < g.n else None  # every row, with no copy
+    return not any(mask.any() for _, mask in defect_slabs(g, rows=rows, middles=middles))
 
 
 def ns_index(g: Groupoid) -> ShReport:
@@ -111,7 +127,7 @@ def ns_index(g: Groupoid) -> ShReport:
             report = _closure_census(g, rep, rows, gens)
             if report is not None:
                 return report
-        elif not any(mask.any() for _, mask in defect_slabs(g, rows=rows, middles=gens)):
+        elif _light_test(g, rows, gens):
             return ShReport(0, ())
     count, found, seen = 0, defaultdict(list), 0
     for lo, mask in defect_slabs(g, rows=rows if len(rows) < n else None):
@@ -127,10 +143,18 @@ def ns_index(g: Groupoid) -> ShReport:
 
 
 def _distinct_rows(g: Groupoid) -> tuple[list[int], list[int]]:
-    """rep[a], the least element whose row equals a's, and the distinct rows' least elements."""
+    """rep[a], the least element whose row equals a's, and the distinct rows' least elements.
+    When column 0 takes n values, as in a group's table, every row is distinct."""
     t = g.narrow_table
+    if np.bincount(t[:, 0], minlength=g.n).max() == 1:
+        return list(range(g.n)), list(range(g.n))
+    return _distinct(t)
+
+
+def _distinct(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """rep[k], the first row of the 2-d ``a`` equal to row k, and the distinct rows' first indices."""
     first: dict = {}
-    rep = [first.setdefault(key, a) for a, key in enumerate(t.view(f"V{t.itemsize * g.n}").ravel().tolist())]
+    rep = [first.setdefault(key, k) for k, key in enumerate(a.view(f"V{a.itemsize * a.shape[1]}").ravel().tolist())]
     return rep, list(first.values())
 
 

@@ -7,19 +7,24 @@ with undefined cells (-1) takes each value of the next free cell, and
 every table in which a fully defined identity instance fails is
 dropped at once, with the subtree below it.  Each identity's
 assignments are one array, built once per scan with the depth from
-which the cells its products of two variables read are assigned; an
-instance is evaluated only from that depth.  The ready instances are
-evaluated a block at a time, each product one gather over the batch
-and the block: the first block holds one instance (most tables fail
-it), each later one twice as many, while the block's index array stays
-within ``nonassoc.SLAB_CELLS`` bytes.  A check is the same filter run
-on the full tables that survive, with the identities of the check's
-row in ``terms.VARIETIES`` (then the row's scheme, ``in_D``'s
-absorption scheme, on the few tables that pass them): the violators
-are exactly the survivors it drops.  Batches of at most ``CHUNK`` rows
-come out in enumeration order, so results do not depend on ``CHUNK``
-or on the blocks: counts are summed and the first witness is the one
-with the smallest table index.
+which the cells its products of two variables read are assigned, most
+distinct values first (x = y = z drops few tables); an instance is
+evaluated only from that depth and, below the root, only if it may
+read the newly assigned cell: a product reads the cell (left value,
+right value), a variable operand fixes its coordinate, and an
+evaluation that reads no changed cell repeats the parent's, undefined
+or equal.  The ready instances are evaluated a block at a time, each
+product one gather over the batch and the block: the first block holds
+one instance (most tables fail it), each later one twice as many,
+while the block's index array stays within ``nonassoc.SLAB_CELLS``
+bytes.  A check is the same filter run, with every instance, on the
+full tables that survive, with the identities of the check's row in
+``terms.VARIETIES`` (then the row's scheme, ``in_D``'s absorption
+scheme, on the few tables that pass them): the violators are exactly
+the positions it drops.  Batches of at most ``CHUNK`` rows come out in
+enumeration order, so results do not depend on ``CHUNK``, on the
+blocks or on the order of the instances: counts are summed and the
+first witness is the one with the smallest table index.
 """
 
 from __future__ import annotations
@@ -89,20 +94,22 @@ def _partial_product(tables: np.ndarray, size: int):
     return product
 
 
-def _leaf_products(t) -> list[tuple[str, str]]:
-    """The products of two variables in a term, as pairs of variable names."""
+def _products(t) -> list[tuple[str | None, str | None]]:
+    """The products in a term as (left, right): an operand's variable name, or
+    None for a subterm operand."""
     if t.is_var:
         return []
-    if t.left.is_var and t.right.is_var:
-        return [(t.left.name, t.right.name)]
-    return _leaf_products(t.left) + _leaf_products(t.right)
+    return [(t.left.name, t.right.name)] + _products(t.left) + _products(t.right)
 
 
 def _instances(identities, size: int, cells: list[tuple[int, int]]):
     """Each identity with its variable names, the (k, variables) array of its
-    assignments, in ``itertools.product`` order, and the depth at which each
-    becomes ready: the depth from which every product of two variables reads
-    an assigned cell (0 for a cell that is never free)."""
+    assignments, the depth at which each becomes ready (the depth from which
+    every product of two variables reads an assigned cell; 0 for a cell that
+    is never free), and its products' operands as (left, right) column indices
+    of the assignments, None for a subterm.  The assignments come in
+    ``itertools.product`` order, stably sorted by how many distinct values
+    they take, most first: an assignment such as x = y = z drops few tables."""
     assigned_at = np.zeros((size, size), dtype=np.int64)
     for depth, (i, j) in enumerate(cells):
         assigned_at[i, j] = depth + 1
@@ -111,10 +118,14 @@ def _instances(identities, size: int, cells: list[tuple[int, int]]):
         names = ident.variables
         # base-size digits, the first variable most significant; np.indices caps at 64 axes
         values = (np.arange(size ** len(names))[:, None] // size ** np.arange(len(names))[::-1] % size).astype(np.int8)
+        products = {tuple(None if v is None else names.index(v) for v in p)
+                    for p in _products(ident.lhs) + _products(ident.rhs)}
         ready = np.zeros(len(values), dtype=np.int64)
-        for a, b in _leaf_products(ident.lhs) + _leaf_products(ident.rhs):
-            ready = np.maximum(ready, assigned_at[values[:, names.index(a)], values[:, names.index(b)]])
-        out.append((ident, names, values, ready))
+        for a, b in products:
+            if a is not None and b is not None:
+                ready = np.maximum(ready, assigned_at[values[:, a], values[:, b]])
+        order = np.argsort(-np.count_nonzero(np.diff(np.sort(values, axis=1)), axis=1), kind="stable")
+        out.append((ident, names, values[order], ready[order], tuple(products)))
     return out
 
 
@@ -125,14 +136,42 @@ def _block_size(last: int, tables: np.ndarray) -> int:
     return max(1, min(2 * last, nonassoc.SLAB_CELLS // 8 // len(tables)))
 
 
-def _prune(tables: np.ndarray, instances, size: int, depth: int) -> np.ndarray:
-    """Drop the tables in which a fully defined identity instance ready at
-    ``depth`` fails, evaluating each identity's ready instances a block at a
-    time: a table stays iff every instance of the block is undefined on a
-    side or equal on both."""
+def _may_read(values: np.ndarray, products, cell: tuple[int, int]) -> np.ndarray | bool:
+    """Whether each assignment has a product whose variable operands are on
+    ``cell``'s row and column (a subterm operand may take any value)."""
+    hit = False
+    for a, b in products:
+        reads = True
+        if a is not None:
+            reads = values[:, a] == cell[0]
+        if b is not None:
+            reads = reads & (values[:, b] == cell[1])
+        hit = hit | reads
+    return hit
+
+
+def _prune(tables: np.ndarray, instances, size: int, depth: int,
+           cell: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The tables in which no fully defined identity instance ready at ``depth``
+    fails, with their positions in ``tables``.  Each identity's ready instances
+    are evaluated a block at a time: a table stays iff every instance of the
+    block is undefined on a side or equal on both.
+
+    With ``cell``, each table differs only there from a parent that survived
+    ``_prune`` at ``depth`` - 1 against the same instances, and only the
+    instances that may read it are evaluated: a product of variables a and b
+    reads only (a, b), of a and a subterm only row a, of a subterm and b only
+    column b, of two subterms any cell.  An evaluation that reads no cell where
+    the two tables differ repeats the parent's, undefined or equal; an instance
+    ready only at ``depth`` reads ``cell`` in a product of two variables.
+    Without ``cell`` (the root, a check) every ready instance is evaluated."""
+    kept = None  # positions, once a table is dropped
     product = _partial_product(tables, size)
-    for ident, names, values, ready in instances:
-        values = values[ready <= depth]
+    for ident, names, values, ready, products in instances:
+        live = ready <= depth
+        if cell is not None:
+            live &= _may_read(values, products, cell)
+        values = values[live]
         lo = step = 0
         while lo < len(values) and len(tables):
             step = _block_size(step, tables)
@@ -143,15 +182,16 @@ def _prune(tables: np.ndarray, instances, size: int, depth: int) -> np.ndarray:
             rhs = eval_term(ident.rhs, env, product)
             keep = ((lhs < 0) | (rhs < 0) | (lhs == rhs)).all(axis=-1)  # a scalar if both sides are variables
             if not keep.all():
-                tables = tables[keep] if keep.ndim else tables[:0]
+                at = np.flatnonzero(np.broadcast_to(keep, len(tables)))
+                tables, kept = tables[at], at if kept is None else kept[at]
                 product = _partial_product(tables, size)
-    return tables
+    return tables, np.arange(len(tables)) if kept is None else kept
 
 
 def _expand(frontier, instances, depth, size, cells):
     """Prune ``frontier`` and yield in index order the full tables below it, giving
     ``cells[depth]`` each value in slices of at most ``CHUNK`` rows."""
-    frontier = _prune(frontier, instances, size, depth)
+    frontier = _prune(frontier, instances, size, depth, cells[depth - 1] if depth else None)[0]
     if depth == len(cells):
         yield frontier
         return
@@ -227,13 +267,14 @@ def search_tables(
     checks = _instances(members, size, cells)
     for tables in _expand(_root(size, cells), _instances(identities, size, cells), 0, size, cells):
         satisfying += len(tables)
-        indices = _table_index(tables, size, cells)
-        kept = _prune(tables, checks, size, len(cells))
+        kept, at = _prune(tables, checks, size, len(cells))
         if row.scheme is not None:
-            kept = kept[np.array([row.scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
-        bad = np.setdiff1d(indices, _table_index(kept, size, cells), assume_unique=True)
-        violations += int(bad.size)
-        if first_idx is None and bad.size:
-            first_idx = int(bad[0])
-            witness = _groupoid(tables[np.searchsorted(indices, first_idx), :size, :size])
+            at = at[np.array([row.scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
+        violations += len(tables) - len(at)
+        if first_idx is None and len(at) < len(tables):
+            bad = np.ones(len(tables), dtype=bool)
+            bad[at] = False
+            first = tables[bad.argmax()]
+            first_idx = int(_table_index(first[None], size, cells)[0])
+            witness = _groupoid(first[:size, :size])
     return SearchSummary(size, idempotent_only, total, satisfying, violations, first_idx, witness)

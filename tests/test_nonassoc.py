@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grpd import nonassoc
@@ -359,3 +359,86 @@ def test_census_by_rows_when_the_closure_would_certify_little(monkeypatch):
     assert spied_ns_index(monkeypatch, random) == (cube_report(random), [None])
     for g in (relabelled("max", 70, 2, 70), relabelled("cyclic", 70, 1, 70)):
         assert spied_ns_index(monkeypatch, g) == (cube_report(g), [])
+
+
+# --- Light's test over distinct rows and distinct middles -----------------------
+
+
+def repro(n):
+    """0 everywhere except t[1, 1] = 2 and t[2, 1] = n - 1: one defect, (1, 1, 1)."""
+    t = np.zeros((n, n), dtype=np.int64)
+    t[1, 1], t[2, 1] = 2, n - 1
+    return groupoid_of(n, t)
+
+
+@st.composite
+def copied_tables(draw):
+    """A table on 1 to 6 elements with 1 to 8 copies of its elements added: a copy has
+    its original's row and column and is outside the image, so rows, columns and
+    generators repeat, and copies of one element are generators with equal rows and
+    columns."""
+    m = draw(st.integers(1, 6))
+    base = np.array(draw(st.lists(st.integers(0, m - 1), min_size=m * m, max_size=m * m))).reshape(m, m)
+    copies = draw(st.lists(st.integers(0, m - 1), min_size=max(1, 5 - m), max_size=8))
+    keep = np.r_[np.arange(m), copies]
+    return groupoid_of(len(keep), base[np.ix_(keep, keep)])
+
+
+def classed(r, c, m):
+    """t[a, b] = m[r[a], c[b]]: elements of one class r have equal rows, of one class c equal columns."""
+    return groupoid_of(len(r), np.asarray(m)[np.ix_(r, c)])
+
+
+@st.composite
+def classed_tables(draw):
+    """``classed`` tables on 5 to 10 elements, with 3 x 3 values m below 3: the elements
+    from 3 up are generators, many with equal rows or equal columns but not both."""
+    n = draw(st.integers(5, 10))
+    r, c = (draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) for _ in range(2))
+    return classed(r, c, np.array(draw(st.lists(st.integers(0, 2), min_size=9, max_size=9))).reshape(3, 3))
+
+
+@pytest.mark.parametrize("slab_cells", [1, 64])
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(copied_tables(), classed_tables(), census_tables().filter(lambda g: g.n >= 5)))
+# generators with equal rows, or equal columns, that Light's test must both keep
+@example(classed([2, 0, 2, 2, 1, 2, 0, 1], [0, 0, 0, 1, 1, 2, 1, 1], [[0, 0, 1], [0, 0, 1], [0, 0, 0]]))
+@example(classed([1, 1, 0, 1, 1, 2, 0, 0, 2, 1], [1, 1, 2, 2, 2, 2, 2, 2, 1, 1], [[2, 1, 1], [0, 1, 1], [0, 1, 2]]))
+def test_light_test_over_distinct_rows_and_middles_matches_triple_loop(slab_cells, g):
+    assert light_path_answers(g, slab_cells) == brute_answers(g, brute.defect_triples(g))
+
+
+@pytest.mark.parametrize("slab_cells", [1, 64])
+def test_light_test_on_the_repro_tables(slab_cells):
+    small = repro(40)
+    assert light_path_answers(small, slab_cells) == brute_answers(small, brute.defect_triples(small))
+    large = repro(257)  # a triple loop over 257^3 takes too long; the cube is the same defects
+    assert light_path_answers(large, slab_cells) == census_answers(large)
+
+
+def test_light_test_gathers_one_row_and_middle_of_each_kind(monkeypatch):
+    # repro-257 has 3 distinct rows, and of its 254 generators, 253 have all-zero rows
+    # and columns: Light's test gathers 3 rows by 2 middles
+    g, gathered = repro(257), []
+    slabs = nonassoc.defect_slabs
+
+    def spy(g, rows=None, middles=None):
+        gathered.append((rows, None if middles is None else middles.tolist()))
+        return slabs(g, rows, middles)
+
+    monkeypatch.setattr(nonassoc, "defect_slabs", spy)
+    assert len(generating_set(g)) == 254
+    assert not is_semigroup(g)
+    assert gathered == [([0, 1, 2], [1, 3])]
+    gathered.clear()
+    assert ns_index(g).ns_count == 1
+    assert gathered[0] == ([0, 1, 2], [1, 3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(census_tables(), copied_tables(), classed_tables()))
+def test_distinct_rows_are_each_rows_first_copy(g):
+    # a group's table takes column 0's shortcut; repeated rows must not
+    rows = [tuple(row) for row in g.table.tolist()]
+    rep = [rows.index(row) for row in rows]
+    assert nonassoc._distinct_rows(g) == (rep, sorted(set(rep)))

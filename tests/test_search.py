@@ -191,10 +191,11 @@ def test_block_drops_failing_tables_and_keeps_undefined_ones(monkeypatch):
     for count in (ALL, 1, None):
         evaluations.clear()
         with instance_blocks(count):
-            kept = search._prune(tables, instances, 2, len(cells))
+            kept, at = search._prune(tables, instances, 2, len(cells))
         assert [t[:2, :2].tolist() for t in kept] == [rows["x=0 undefined, x=1 holds"],
                                                    rows["x=0 holds, x=1 undefined"],
                                                    rows["both undefined"]]
+        assert at.tolist() == [0, 3, 4]
         if count is ALL:
             assert evaluations == [2, 2]  # one block: each side evaluated once, over both instances
 
@@ -207,6 +208,81 @@ def test_block_schedule_doubles_within_the_slab_bound():
     assert steps[:3] == [1, 2, 4] and steps[-1] == nonassoc.SLAB_CELLS // 8 // 1000
     assert search._block_size(steps[-1], tables) == steps[-1]
     assert search._block_size(1 << 10, np.zeros((nonassoc.SLAB_CELLS, 1, 1), dtype=np.int8)) == 1
+
+
+FRONTIER_CAP = 4096  # parents expanded per depth: any subset of the survivors keeps the premise
+
+
+def prune_both_ways(ident, size, idempotent_only):
+    """Walk the depths of the pruned search, pruning each batch of children once
+    with ``cell`` (only the instances that may read it) and once without (every
+    ready instance); yield both results per depth."""
+    cells = search._free_cells(size, idempotent_only)
+    instances = search._instances([ident], size, cells)
+    frontier = search._root(size, cells)
+    for depth in range(len(cells) + 1):
+        cell = cells[depth - 1] if depth else None
+        skipped = search._prune(frontier, instances, size, depth, cell)
+        yield skipped, search._prune(frontier, instances, size, depth)
+        if depth < len(cells):
+            i, j = cells[depth]
+            frontier = np.repeat(skipped[0][:FRONTIER_CAP], size, axis=0)
+            frontier[:, i, j] = np.tile(np.arange(size), len(frontier) // size)
+
+
+identities4 = st.tuples(terms_over("xyzw"), terms_over("xyzw")).map(lambda sides: Identity(*sides))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ident=identities4, size=st.integers(2, 4), idempotent_only=st.booleans())
+@example(ident=parse_identity("((x y) (z w)) = (x (y (z w)))"), size=3, idempotent_only=False)  # subterm * subterm
+@example(ident=parse_identity("((x y) z) = (x (y z))"), size=4, idempotent_only=True)  # row and column rules
+@example(ident=parse_identity("(x y) = (y x)"), size=3, idempotent_only=False)  # two-variable products only
+@example(ident=parse_identity("((x x) y) = y"), size=2, idempotent_only=False)
+def test_skipping_instances_that_cannot_read_the_new_cell_keeps_the_frontier(ident, size, idempotent_only):
+    for (tables, at), (want, want_at) in prune_both_ways(ident, size, idempotent_only):
+        assert np.array_equal(tables, want) and np.array_equal(at, want_at)
+
+
+@contextlib.contextmanager
+def shuffled_instances(seed):
+    """Scan with each identity's instances (its ``--satisfy`` and its check's) in a
+    seeded random order instead of most distinct values first."""
+    rng = np.random.default_rng(seed)
+    build = search._instances
+
+    def shuffled(*args):
+        out = []
+        for ident, names, values, ready, products in build(*args):
+            order = rng.permutation(len(values))
+            out.append((ident, names, values[order], ready[order], products))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_instances", shuffled)
+        yield
+
+
+@pytest.mark.parametrize("size, idempotent_only, satisfy, check", [
+    (3, False, [], "is_semigroup"),
+    (3, False, [], "in_D"),
+    (3, False, [parse_identity("(x (y x)) = ((x y) z)")], "is_left_zero"),
+    (3, True, [parse_identity("((x y) z) = (x (z y))")], "in_A"),
+    (4, True, [scheme_identity("left_eq_right", 4)], "is_semigroup"),
+    (4, True, [scheme_identity("nulla", 4)], "is_semigroup"),
+])
+def test_instance_order_leaves_the_summary_unchanged(size, idempotent_only, satisfy, check):
+    want = search_tables(size, idempotent_only, satisfy, check)
+    for seed in (1, 2):
+        with shuffled_instances(seed):
+            assert search_tables(size, idempotent_only, satisfy, check) == want
+
+
+def test_instances_come_most_distinct_values_first():
+    (_, _, values, _, _), = search._instances([ASSOCIATIVITY], 3, search._free_cells(3, False))
+    distinct = [len(set(v)) for v in values.tolist()]
+    assert distinct == sorted(distinct, reverse=True)
+    assert values[:6].tolist() == sorted(map(list, itertools.permutations(range(3))))  # stable within ties
 
 
 @functools.lru_cache(maxsize=None)
