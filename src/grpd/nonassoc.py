@@ -20,11 +20,10 @@ generating set is associative, every pair is, since the b with (a, b)
 associative for all a are closed under the product.  ``is_semigroup``
 asks only that, for one a per distinct row and one s per distinct row
 and column (``_light_test``).  Above one slab (n^3 > ``SLAB_CELLS``)
-the census of a large table with a small generating set counts the
-pairs (a, s) directly, then closes the generating set under the product
-and censuses only the pairs that the lemma leaves uncertified
-(``ns_index`` says when); at or below one slab it censuses every pair,
-in that slab.
+the census counts the pairs (a, s) directly, then closes the generating
+set under the product and censuses only the pairs that the lemma leaves
+uncertified (``_closure_census``); at or below one slab, or when the
+closure gives up, it censuses every pair.
 """
 
 from __future__ import annotations
@@ -109,26 +108,17 @@ def ns_index(g: Groupoid) -> ShReport:
 
     The defects of a pair (a, b), the c with (ab)c != a(bc), depend only on row a, so
     each distinct row is censused once; a repeated row counts again and lists its
-    first's triples.  At or below one slab (n^3 <= ``SLAB_CELLS``) every pair is
-    censused, in that slab.  Above it, the lemma of the module docstring takes over
-    (``_closure_census``) when the census by rows would span over four slabs, about what
-    the closure's rounds cost in fixed calls, and a generating set (``generating_set``)
-    has at most n/2 elements; its first step censuses the pairs (row, s), Light's test's
-    own gathers.  Otherwise Light's test is only asked, over the distinct rows, stopping
-    at its first defect: with more generators it gathers over half the census anyway.  A
-    table that fails it, or whose pairs (row, s) have defects in over an eighth of them
-    (a random table has them in nearly all), is censused by rows of a."""
+    first's triples.  Above one slab (n^3 > ``SLAB_CELLS``) the lemma of the module
+    docstring takes over (``_closure_census``, from ``generating_set``), whose first
+    round, the pairs (row, s), is Light's test, counted.  At or below one slab, or when
+    it gives up, every pair is censused by rows of a, in slabs of ``SLAB_CELLS`` cells."""
     n = g.n
     rep, rows = _distinct_rows(g)
     repeats = Counter(rep)
     if n ** 3 > SLAB_CELLS:
-        gens = generating_set(g)
-        if 2 * len(gens) <= n and len(rows) * n * n > 4 * SLAB_CELLS:
-            report = _closure_census(g, rep, rows, gens)
-            if report is not None:
-                return report
-        elif _light_test(g, rows, gens):
-            return ShReport(0, ())
+        report = _closure_census(g, rep, rows, generating_set(g))
+        if report is not None:
+            return report
     count, found, seen = 0, defaultdict(list), 0
     for lo, mask in defect_slabs(g, rows=rows if len(rows) < n else None):
         slab_rows = rows[lo:lo + len(mask)]
@@ -159,9 +149,10 @@ def _distinct(a: np.ndarray) -> tuple[list[int], list[int]]:
 
 
 def _closure_census(g: Groupoid, rep, rows, gens, share: int = 8) -> ShReport | None:
-    """The census through the lemma, from ``_distinct_rows``'s rep and rows; None once
-    over 1/share of the pairs (row, s), s in ``gens``, have a defect.  Past an eighth,
-    most pairs stay uncertified, and censusing them costs more than the census by rows.
+    """The census through the lemma, from ``_distinct_rows``'s rep and rows; None, for
+    ``ns_index`` to census by rows, once over 1/share of the pairs (row, s), s in
+    ``gens``, have a defect.  Past an eighth, most pairs stay uncertified, and censusing
+    them costs more than the census by rows.
 
     The pairs (row, s) are censused first, as one box.  Then the known middles, the
     generators at first, are closed under the product in rounds as in

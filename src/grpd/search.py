@@ -2,29 +2,11 @@
 
 Tables are enumerated in row-major order (the first free cell is the
 most significant digit), optionally restricted to idempotent tables.
-The scan searches partial tables pruned per cell: a batch of tables
-with undefined cells (-1) takes each value of the next free cell, and
-every table in which a fully defined identity instance fails is
-dropped at once, with the subtree below it.  Each identity's
-assignments are one array, built once per scan with the depth from
-which the cells its products of two variables read are assigned, most
-distinct values first (x = y = z drops few tables); an instance is
-evaluated only from that depth and, below the root, only if it may
-read the newly assigned cell: a product reads the cell (left value,
-right value), a variable operand fixes its coordinate, and an
-evaluation that reads no changed cell repeats the parent's, undefined
-or equal.  The ready instances are evaluated a block at a time, each
-product one gather over the batch and the block: the first block holds
-one instance (most tables fail it), each later one twice as many,
-while the block's index array stays within ``nonassoc.SLAB_CELLS``
-bytes.  A check is the same filter run, with every instance, on the
-full tables that survive, with the identities of the check's row in
-``terms.VARIETIES`` (then the row's scheme, ``in_D``'s absorption
-scheme, on the few tables that pass them): the violators are exactly
-the positions it drops.  Batches of at most ``CHUNK`` rows come out in
-enumeration order, so results do not depend on ``CHUNK``, on the
-blocks or on the order of the instances: counts are summed and the
-first witness is the one with the smallest table index.
+The scan assigns the free cells one at a time to batches of partial
+tables (undefined cells are -1) and drops a partial table, with the
+subtree below it, once a fully defined identity instance fails in it
+(``_prune``).  A check is the same filter run on the full tables that
+survive (``search_tables``).
 """
 
 from __future__ import annotations
@@ -238,7 +220,8 @@ def search_tables(
     scheme, if any): the tables it drops are the violators.  Reports
     their count and the first one in enumeration order.  A batch of
     partial tables holds at most ``CHUNK`` rows; a larger one is expanded
-    depth-first in slices.  More than ``MAX_INSTANCES`` identity
+    depth-first in slices, in enumeration order, so the results do not
+    depend on ``CHUNK``.  More than ``MAX_INSTANCES`` identity
     instances (size^variables, summed over ``satisfy``) raise GuardError
     before any work.
     """

@@ -3,17 +3,10 @@
 s(n) counts the distinct n-ary term functions arising from the C(n-1)
 bracketings of x1*...*xn.  ``term_function`` tabulates any term over
 the whole tuple space with numpy broadcasting, one axis per variable.
-The spectrum composes the functions of smaller sizes instead (Csákány
-& Waldhauser, "Associative spectra of binary operations", 2000),
-compared by their exact bytes in the smallest unsigned dtype that holds
-|A|-1, so two distinct functions never share a class.  Each size
-evaluates one product per group that Birkhoff's substitution rule (1935)
-already proves equal, from the classes of the size before.  Below the
-largest size each class keeps its whole table, the operand of later
-sizes; the largest size refines its classes slab by slab over rows of
-x1, a large one from a first slab of a single row, and keeps no table.
-Above one slab Light's test skips the composition of a semigroup, s(m) = 1
-at every size, and of any other table up to size 3, where s(3) = 2.
+``spectrum`` composes the functions of smaller sizes instead (Csákány
+& Waldhauser, "Associative spectra of binary operations", 2000), and
+``spectrum_ak_oracle`` counts the k-wraparound groupoid's spectrum from
+left-depth sequences.
 """
 
 from __future__ import annotations
@@ -81,21 +74,21 @@ def spectrum(g: Groupoid, max_n: int, budget: int = DEFAULT_BUDGET) -> SpectrumR
     a larger one composes as below.
 
     Each level first groups its pairs (split, P, Q), in the order of their first
-    bracketings, by substitution: bracketings B1 = B2 of size m-1 stay equal with x_i
-    replaced by (x_i x_i+1), both being their function at (x1, .., x_i x_i+1, .., x_m), so
-    for each class of size m-1 and each i the pairs of its members' images (``_shapes``)
-    share a group.  Groups may split a class (A4 at size 6: 42 groups, 41 classes), which
-    evaluation then merges; only the least pair of a group is gathered, and the others
-    take its label.  Those pairs are refined slab by slab over rows of x1: a pair's new
-    label is the first occurrence of (old label, slab bytes), numbered past the labels of
-    earlier slabs.  A level below the top is one slab, the whole table, kept as the table
-    its products are later composed from.  The top level takes slabs of about
+    bracketings, by Birkhoff's substitution rule (1935): bracketings B1 = B2 of size m-1
+    stay equal with x_i replaced by (x_i x_i+1), both being their function at
+    (x1, .., x_i x_i+1, .., x_m), so for each class of size m-1 and each i the pairs of its
+    members' images (``_shapes``) share a group.  Groups may split a class (A4 at size 6: 42 groups,
+    41 classes), which evaluation then merges; only the least pair of a group is gathered,
+    and the others take its label.  Those pairs are refined slab by slab over rows of x1: a
+    pair's new label is the first occurrence of (old label, slab bytes), numbered past the
+    labels of earlier slabs.  A level below the top is one slab, the whole table, kept as
+    the table its products are later composed from.  The top level takes slabs of about
     ``nonassoc.SLAB_CELLS`` cells, after one row of x1 when a pair's table holds more than
     SLAB_CELLS/256 cells, and keeps no table; slabs only split classes, so later slabs skip
     a pair alone in its class, and the level stops once no pair shares a class.  A slab is
-    gathered along Q's axis first, copying whole rows of narrow[:, Q], unless P's slab
-    holds at most |A| cells.  Each bracketing's class is read through its factors'
-    classes, and a size's classes are listed in order of first occurrence.
+    gathered along Q's axis first, copying whole rows of narrow[:, Q], unless P's slab holds
+    at most |A| cells.  Each bracketing's class is read through its factors' classes, and a
+    size's classes are listed in order of first occurrence.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

@@ -5,12 +5,8 @@ discrete); no tolerances are involved.  Slow pieces (the 4^12 table
 scan) run inside their criterion rather than being deferred.
 """
 
-import itertools
-
-import numpy as np
-
 from grpd.bracketings import catalan, enumerate_bracketings
-from grpd.catalog import build_ak, catalog_get
+from grpd.catalog import build_ak
 from grpd.claims import run_claims
 from grpd.clone import (
     binary_clone_part,
@@ -41,13 +37,10 @@ from grpd.terms import (
     scheme_identity,
 )
 
+from brute import cat, idempotent_3_tables
 from partitions import all_partitions
 
 SPECTRUM_BUDGET = 2 * 10 ** 8
-
-
-def cat(name):
-    return catalog_get(name).groupoid
 
 
 def report(num, ok, detail):
@@ -182,21 +175,10 @@ def test_criterion_08_disjointness():
     report(8, ok, "every Gi fails x(y(zu)) = x((yz)u) at (a,a,b,c); every dual at (a,c,b,a)")
 
 
-def _idempotent_3_tables():
-    cells = [(i, j) for i in range(3) for j in range(3) if i != j]
-    for values in itertools.product(range(3), repeat=6):
-        table = np.zeros((3, 3), dtype=np.int64)
-        for d in range(3):
-            table[d, d] = d
-        for (i, j), v in zip(cells, values):
-            table[i, j] = v
-        yield Groupoid(("a", "b", "c"), table)
-
-
 def test_criterion_09_exhaustive_theorem_scans():
     ok = True
     count = 0
-    for g in _idempotent_3_tables():
+    for g in idempotent_3_tables():
         count += 1
         if (spectrum(g, 3).values[2] == 1) != is_semigroup(g):
             ok = False

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from grpd.catalog import (
@@ -12,9 +11,7 @@ from grpd.core import dual, is_idempotent, parse_groupoid, write_groupoid
 from grpd.errors import GuardError
 from grpd.terms import in_A, in_B, in_Cp, is_semigroup
 
-
-def cat(name):
-    return catalog_get(name).groupoid
+from brute import cat
 
 
 def test_g1_row_a():

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import grpd
-from grpd import cli, clone
+from grpd import cli, clone, search
 from grpd.catalog import catalog_get, catalog_list
 from grpd.cli import main
 from grpd.core import Groupoid, parse_groupoid, write_groupoid
 from grpd.terms import parse_term
+
+from brute import idempotent_3_tables, relabelled, repro
 
 
 @pytest.fixture()
@@ -435,15 +437,13 @@ def test_no_relation_separates_only_a_suspect_that_generates_the_product(capsys,
     parts = {}
     monkeypatch.setattr(cli, "binary_clone_part", lambda g: parts[g.table.tobytes()])
     path, reps, sentences = tmp_path / "t.gpd", 0, {True: 0, False: 0}
-    for cells in itertools.product(range(3), repeat=6):
-        table = np.diag(np.arange(3))
-        table[~np.eye(3, dtype=bool)] = cells
+    for g in idempotent_3_tables():
+        table = g.table
         if any(np.array(p)[table[np.ix_(np.argsort(p), np.argsort(p))]].tobytes() < table.tobytes()
                for p in itertools.permutations(range(3))):
             continue
         reps += 1
-        g = Groupoid(("a", "b", "c"), table)
-        part = parts[g.table.tobytes()] = clone.binary_clone_part(g)
+        part = parts[table.tobytes()] = clone.binary_clone_part(g)
         suspects = ["(x y)"]
         if len(part) > 2 and (witness := clone.binary_minimality_proxy(part)) is not None:
             suspects.append(witness)
@@ -482,8 +482,7 @@ def large_tables():
             t[i, j] = (t[i, j] + rng.integers(1, n)) % n
         tables[f"perturbed-{n}"] = t
     tables["random-70"] = rng.integers(0, 70, (70, 70))
-    tables["repro-100"] = np.zeros((100, 100), dtype=np.int64)
-    tables["repro-100"][1, 1], tables["repro-100"][2, 1] = 2, 99
+    tables["repro-100"] = repro(100).table
     return tables
 
 
@@ -535,3 +534,33 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, g3_file, exc, err):
         raise exc
     monkeypatch.setattr(cli, "binary_clone_part", exhausted)
     assert run(capsys, "clone", g3_file) == (2, "", err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_search_one_size_past_the_guards(capsys, monkeypatch):
+    # the guards raised in process (the source keeps its constants): no brute force
+    # reaches 4^16 or 5^20 tables, so the counts are pinned instead, 3,492 associative
+    # operations on a labelled 4-set (OEIS A023814) and the 16,727 idempotent size-5
+    # tables with ((x1 x2) x3) = x1 (x2 x3), each with the command's exit and no violation
+    monkeypatch.setattr(search, "MAX_SIZE_GENERAL", 4)
+    monkeypatch.setattr(search, "MAX_SIZE_IDEMPOTENT", 5)
+    for argv, satisfying in ((["--size", "4"], 3492), (["--size", "5", "--idempotent"], 16727)):
+        code, out, _ = run(capsys, "search", *argv, "--satisfy", "left_eq_right:3", "--json")
+        doc = json.loads(out)
+        assert (code, doc["satisfying"], doc["violations"], doc["firstWitnessIndex"]) == (0, satisfying, 0, None)
+
+
+def test_non_ascii_names_and_separators_give_the_ascii_answers(capsys, tmp_path):
+    # Z_300 relabelled, written with names \u00e90..\u00e9299, entries parted by tabs and
+    # U+3000 and a comment after each line: the byte scan must give the ASCII file's exit
+    # codes and documents
+    ascii_path, wide_path = tmp_path / "z300.gpd", tmp_path / "z300-wide.gpd"
+    ascii_path.write_text(write_groupoid(relabelled("cyclic", 300, 0, 1)), encoding="utf-8")
+    wide = []
+    for i, line in enumerate(ascii_path.read_text(encoding="utf-8").splitlines()):
+        tokens = ["\u00e9" + tok for tok in line.split()]
+        wide.append(tokens[0] + "".join("\t\u3000"[(i + j) % 2] + tok for j, tok in enumerate(tokens[1:])) + f"  # line {i}")
+    wide_path.write_text("\n".join(wide) + "\n", encoding="utf-8")
+    for command, *argv in (("ns",), ("check", "((x y) z) = (x (y z))"), ("variety", "semigroup")):
+        ascii_run, wide_run = (run(capsys, command, str(path), *argv, "--json") for path in (ascii_path, wide_path))
+        assert ascii_run == wide_run

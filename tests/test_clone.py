@@ -1,11 +1,9 @@
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from grpd import clone
-from grpd.catalog import catalog_get
 from grpd.clone import (
     binary_clone_part,
     binary_minimality_proxy,
@@ -19,9 +17,7 @@ from grpd.core import Groupoid, Partition, find_isomorphism, parse_groupoid
 from grpd.errors import GuardError
 from grpd.terms import is_left_zero, is_right_zero, parse_term
 
-
-def cat(name):
-    return catalog_get(name).groupoid
+from brute import cat, idempotent_3_tables
 
 
 LEFT_ZERO = Groupoid(("p", "q"), [[0, 0], [1, 1]])
@@ -125,14 +121,7 @@ def closure_is_projections_only(g):
 
 def test_trivial_clone_matches_closure_size():
     # oracle equivalence over all idempotent size-3 tables
-    cells = [(i, j) for i in range(3) for j in range(3) if i != j]
-    for values in itertools.product(range(3), repeat=6):
-        table = np.zeros((3, 3), dtype=int)
-        for d in range(3):
-            table[d, d] = d
-        for (i, j), v in zip(cells, values):
-            table[i, j] = v
-        g = Groupoid(("a", "b", "c"), table)
+    for g in idempotent_3_tables():
         assert closure_is_projections_only(g) == is_trivial_clone(g)
         assert is_trivial_clone(g) == (is_left_zero(g) or is_right_zero(g))
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd import core
-from grpd.catalog import catalog_get, catalog_list
+from grpd.catalog import catalog_list
 from grpd.core import (
     Groupoid,
     Partition,
@@ -28,19 +28,8 @@ from grpd.nonassoc import ns_index
 from grpd.spectrum import spectrum
 
 import brute
+from brute import cat
 from partitions import all_partitions
-
-
-def cat(name):
-    return catalog_get(name).groupoid
-
-
-@st.composite
-def groupoids(draw, max_n=5):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    entries = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
-    names = tuple(chr(ord("a") + i) for i in range(n))
-    return Groupoid(names, np.array(entries).reshape(n, n))
 
 
 LEFT_ZERO_2 = Groupoid(("p", "q"), [[0, 0], [1, 1]])
@@ -187,7 +176,7 @@ def test_writer_format_exact():
 
 
 @settings(max_examples=60, deadline=None)
-@given(groupoids())
+@given(brute.tables(1, 5, string.ascii_lowercase))
 def test_gpd_roundtrip(g):
     assert parse_groupoid(write_groupoid(g)) == g
 
@@ -260,7 +249,7 @@ def test_subuniverse_singleton_idempotent():
 
 
 @settings(max_examples=60, deadline=None)
-@given(groupoids(), st.data())
+@given(brute.tables(1, 5, string.ascii_lowercase), st.data())
 def test_subuniverse_monotone_idempotent(g, data):
     seeds = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
     closed = generate_subuniverse(g, seeds)
@@ -272,7 +261,7 @@ def test_subuniverse_monotone_idempotent(g, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(groupoids(max_n=8), st.data())
+@given(brute.tables(1, 8, string.ascii_lowercase), st.data())
 def test_subuniverse_matches_python_closure(g, data):
     elements = st.integers(0, g.n - 1)
     seeds = data.draw(st.sets(elements, min_size=1, max_size=g.n))

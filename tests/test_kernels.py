@@ -20,43 +20,19 @@ from hypothesis import strategies as st
 from grpd import claims, clone, nonassoc, search, terms
 from grpd.catalog import catalog_get, catalog_list
 from grpd.clone import binary_clone_part, binary_term_table, find_relational_witness, generates_basic
-from grpd.core import (
-    Groupoid, Partition, dual, find_isomorphism, generate_subuniverse, generated_congruence, is_congruence,
-)
+from grpd.core import Partition, dual, find_isomorphism, generated_congruence, is_congruence
 from grpd.errors import GuardError
 from grpd.nonassoc import TRIPLE_LIST_CAP, ns_index
 from grpd.search import CHECKS, search_tables
 from grpd.spectrum import spectrum
 from grpd.terms import Identity, eval_term, evaluate, is_semigroup, parse_identity, prod, satisfies_identity, var
 
-from brute import spectrum_classes
+import brute
+from brute import groupoid_of, spectrum_classes
 from partitions import all_partitions
 
-
-def groupoid_of(size, cells):
-    return Groupoid(tuple(str(i) for i in range(size)), np.array(cells).reshape(size, size))
-
-
-def tables_up_to(size):
-    return st.integers(1, size).flatmap(
-        lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
-            lambda cells: groupoid_of(n, cells)
-        )
-    )
-
-
-tables = tables_up_to(5)
-
-
-def terms_over(names):
-    return st.recursive(
-        st.sampled_from(names).map(var),
-        lambda sub: st.tuples(sub, sub).map(lambda pair: prod(*pair)),
-        max_leaves=6,
-    )
-
-
-identities = st.tuples(terms_over("xyz"), terms_over("xyz")).map(lambda sides: Identity(*sides))
+tables = brute.tables(1, 5)
+identities = brute.identities("xyz", 6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +74,7 @@ near_semigroups = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(tables_up_to(3), near_semigroups))
+@given(st.one_of(brute.tables(1, 3), near_semigroups))
 def test_spectrum_composition_matches_brute_force(g):
     rep = spectrum(g, 6)
     assert rep.classes == tuple(spectrum_classes(g, n) for n in range(1, 7))
@@ -106,7 +82,7 @@ def test_spectrum_composition_matches_brute_force(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(tables_up_to(3), near_semigroups), st.integers(2, 6), st.sampled_from([1, 500, 2048]))
+@given(st.one_of(brute.tables(1, 3), near_semigroups), st.integers(2, 6), st.sampled_from([1, 500, 2048]))
 @example(groupoid_of(2, [0, 0, 1, 0]), 3, 1)  # associative in the first slab, both defects in the second
 @example(groupoid_of(2, [0, 1, 0, 0]), 4, 1)  # two n=4 classes that only the first of two slabs splits
 def test_spectrum_top_level_in_small_slabs_matches_brute_force(g, max_n, slab_cells):
@@ -123,55 +99,30 @@ def test_spectrum_top_level_in_small_slabs_matches_brute_force(g, max_n, slab_ce
 @settings(max_examples=100, deadline=None)
 @given(tables)
 def test_associativity_kernel_matches_triple_loop(g):
-    t = g.table
-    defects = [
-        (a, b, c)
-        for a, b, c in itertools.product(range(g.n), repeat=3)
-        if t[t[a, b], c] != t[a, t[b, c]]
-    ]
-    rep = ns_index(g)
-    assert rep.ns_count == len(defects)
-    assert list(rep.triples) == defects
-    assert is_semigroup(g) == (not defects)
-
-
-def full_cube_census(g):
-    """(count, triples, sh_type, minimal_sh, semigroup) from the whole (n, n, n) cube.
-
-    Gathered in int64, one (n, n) layer per a, so a 300-element cube fits in memory.
-    """
-    t = g.table
-    mask = np.stack([t[t[a]] != t[a][t] for a in range(g.n)])
-    triples = tuple(map(tuple, np.argwhere(mask)[:TRIPLE_LIST_CAP].tolist()))
-    count = int(mask.sum())
-    sh_type = minimal = None
-    if count == 1:
-        triple = triples[0]
-        sh_type = "".join("abc"[list(dict.fromkeys(triple)).index(x)] for x in triple)
-        minimal = generate_subuniverse(g, set(triple)) == frozenset(range(g.n))
-    return count, triples, sh_type, minimal, count == 0
+    want = brute.ns_report(g)
+    assert ns_index(g) == want
+    assert is_semigroup(g) == (want.ns_count == 0)
 
 
 def sliced_census(g, rows):
     """ns_index and is_semigroup with slabs of ``rows`` rows of a."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nonassoc, "SLAB_CELLS", rows * g.n * g.n)
-        rep = ns_index(g)
-        return rep.ns_count, rep.triples, rep.sh_type, rep.minimal_sh, is_semigroup(g)
+        return ns_index(g), is_semigroup(g)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
-                                 .map(lambda cells: groupoid_of(n, cells))),
-       st.integers(1, 3))
+@given(brute.tables(1, 8), st.integers(1, 3))
 def test_sliced_census_matches_full_cube(g, rows):
-    assert sliced_census(g, rows) == full_cube_census(g)
+    want = brute.ns_report(g, brute.defect_cube(g))
+    assert sliced_census(g, rows) == (want, want.ns_count == 0)
 
 
 @pytest.mark.parametrize("name", catalog_list())
 def test_sliced_census_on_catalog(name):
     g = catalog_get(name).groupoid
-    assert sliced_census(g, 1) == full_cube_census(g)
+    want = brute.ns_report(g, brute.defect_cube(g))
+    assert sliced_census(g, 1) == (want, want.ns_count == 0)
 
 
 def test_sliced_census_lists_capped_triples_across_slabs():
@@ -181,11 +132,11 @@ def test_sliced_census_lists_capped_triples_across_slabs():
     hit = rng.random(t.shape) < 0.05
     t[hit] = rng.integers(0, 32, hit.sum())
     g = groupoid_of(32, t)
-    full = full_cube_census(g)
-    assert full[0] > TRIPLE_LIST_CAP
-    assert full[1][-1][0] >= 10  # the listed triples span more than five 2-row slabs
-    assert sliced_census(g, 2) == full
-    assert sliced_census(g, 1) == full
+    want = brute.ns_report(g, brute.defect_cube(g))
+    assert want.ns_count > TRIPLE_LIST_CAP
+    assert want.triples[-1][0] >= 10  # the listed triples span more than five 2-row slabs
+    assert sliced_census(g, 2) == (want, False)
+    assert sliced_census(g, 1) == (want, False)
 
 
 @st.composite
@@ -196,13 +147,8 @@ def tables_at_dtype_switch(draw):
     n = draw(st.sampled_from([255, 256, 257, 300]))
     values = st.one_of(st.integers(n - 3, n - 1), st.integers(0, n - 1))
     if draw(st.booleans()):
-        t = np.zeros((n, n), dtype=np.int64)
-        t[1, 1] = 2
-        t[2, 1] = draw(values)
-        return groupoid_of(n, t)
-    perm = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(n)
-    t = np.empty((n, n), dtype=np.int64)
-    t[np.ix_(perm, perm)] = perm[np.add.outer(np.arange(n), np.arange(n)) % n]
+        return brute.repro(n, draw(values))
+    t = brute.relabelled("cyclic", n, 0, draw(st.integers(0, 2 ** 32 - 1))).table.copy()
     for _ in range(draw(st.integers(0, 3))):
         t[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(values)
     return groupoid_of(n, t)
@@ -211,17 +157,17 @@ def tables_at_dtype_switch(draw):
 @settings(max_examples=12, deadline=None)
 @given(tables_at_dtype_switch())
 def test_narrow_kernels_match_int64_cube_at_dtype_switch(g):
-    want = full_cube_census(g)
-    rep = ns_index(g)
-    assert (rep.ns_count, rep.triples, rep.sh_type, rep.minimal_sh, is_semigroup(g)) == want
+    want = brute.ns_report(g, brute.defect_cube(g))
+    semigroup = want.ns_count == 0
+    assert (ns_index(g), is_semigroup(g)) == (want, semigroup)
     # the two bracketings of size 3 induce the same function iff g is associative
     spec = spectrum(g, 3)
-    assert spec.values == (1, 1, 1 if want[4] else 2)
-    assert spec.classes[2] == (((0, 1),) if want[4] else ((0,), (1,)))
+    assert spec.values == (1, 1, 1 if semigroup else 2)
+    assert spec.classes[2] == (((0, 1),) if semigroup else ((0,), (1,)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(tables, terms_over("xyz"))
+@given(tables, brute.terms_over("xyz", 6))
 def test_broadcast_evaluation_matches_pointwise(g, term):
     n = g.n
     env = {name: np.arange(n).reshape((1,) * i + (n,) + (1,) * (2 - i)) for i, name in enumerate("xyz")}
@@ -284,19 +230,12 @@ def int64_identity_check(g, ident):
     return True, None
 
 
-def one_defect_table(n, v):
-    """0 everywhere except t[1,1] = 2 and t[2,1] = v: its one defect (1,1,1) has sides v and 0."""
-    t = np.zeros((n, n), dtype=np.int64)
-    t[1, 1], t[2, 1] = 2, v
-    return groupoid_of(n, t)
-
-
 ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
 
 
 @settings(max_examples=10, deadline=None)
 @given(tables_at_dtype_switch(), st.one_of(st.just(ASSOCIATIVITY), identities))
-@example(one_defect_table(257, 256), ASSOCIATIVITY)  # sides 256 and 0 agree in uint8
+@example(brute.repro(257, 256), ASSOCIATIVITY)  # sides 256 and 0 agree in uint8
 def test_identity_check_matches_int64_reference_at_dtype_switch(g, ident):
     assert satisfies_identity(g, ident) == int64_identity_check(g, ident)
 
@@ -322,7 +261,7 @@ def test_deep_identity_check_holds_a_few_block_arrays():
 
 
 @settings(max_examples=60, deadline=None)
-@given(tables, terms_over("xy"))
+@given(tables, brute.terms_over("xy", 6))
 def test_binary_term_table_matches_pointwise(g, term):
     op = binary_term_table(g, term).table
     for x, y in itertools.product(range(g.n), repeat=2):
@@ -330,9 +269,8 @@ def test_binary_term_table_matches_pointwise(g, term):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
-    st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(Partition))))
+@given(brute.tables(1, 6).flatmap(lambda g: st.tuples(
+    st.just(g), st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n).map(Partition))))
 def test_partition_compatibility_matches_pairwise(case):
     g, p = case
     ids = p.ids
@@ -347,9 +285,8 @@ def finer(p, q):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
-    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))))
+@given(brute.tables(1, 6).flatmap(lambda g: st.tuples(
+    st.just(g), st.lists(st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)), max_size=3))))
 def test_generated_congruence_is_the_finest_preserved_partition_holding_the_pairs(case):
     g, pairs = case
     theta = generated_congruence(g, pairs)
@@ -361,9 +298,7 @@ def test_generated_congruence_is_the_finest_preserved_partition_holding_the_pair
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
-    st.integers(0, n - 1), st.integers(0, n - 1))))
+@given(brute.tables(1, 6).flatmap(lambda g: st.tuples(st.just(g), st.integers(0, g.n - 1), st.integers(0, g.n - 1))))
 def test_separating_congruences_match_the_filtered_partitions(case):
     g, x, y = case
     want = [p for p in all_partitions(g.n)
@@ -372,9 +307,7 @@ def test_separating_congruences_match_the_filtered_partitions(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(lambda cells: groupoid_of(n, cells)),
-    st.integers(0, n - 1), st.integers(0, n - 1))))
+@given(brute.tables(1, 6).flatmap(lambda g: st.tuples(st.just(g), st.integers(0, g.n - 1), st.integers(0, g.n - 1))))
 @example((catalog_get("G1").groupoid, 4, 2))
 @example((catalog_get("G6").groupoid, 5, 6))
 def test_separating_congruences_generate_each_principal_congruence_once(case):
@@ -435,7 +368,7 @@ def witness_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(witness_tables(), terms_over("xy"))
+@given(witness_tables(), brute.terms_over("xy", 6))
 def test_relational_witness_matches_the_replaced_search(g, term):
     suspect = binary_term_table(g, term)
     assert find_relational_witness(g, suspect) == replaced_relational_witness(g, suspect)
@@ -516,15 +449,8 @@ def reference_closure(g, guard, tables=None):
     return names, done
 
 
-small_tables = st.integers(1, 3).flatmap(
-    lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
-        lambda cells: groupoid_of(n, cells)
-    )
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(small_tables)
+@given(brute.tables(1, 3))
 def test_clone_closure_matches_pairwise_reference(g):
     guard = 150
     with pytest.MonkeyPatch.context() as mp:
@@ -547,7 +473,7 @@ def test_clone_closure_matches_pairwise_reference(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_tables, st.data())
+@given(brute.tables(1, 3), st.data())
 def test_generates_basic_matches_reference_closure(g, data):
     """h is drawn from Clo2(g), as the proxy draws it, or is any binary op,
     so that both answers occur."""
@@ -622,7 +548,7 @@ def test_find_isomorphism_recovers_a_relabelling(g, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(tables.filter(lambda g: g.n >= 2), st.data())
+@given(brute.tables(2, 5), st.data())
 def test_find_isomorphism_after_one_cell_change_matches_brute_force(g, data):
     h = relabel(g, data.draw(st.permutations(range(g.n))), data.draw(st.booleans()))
     cells = h.table.copy()

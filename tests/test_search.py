@@ -12,18 +12,18 @@ from grpd.errors import GuardError
 from grpd import nonassoc, search
 from grpd.search import CHECKS, all_tables, search_tables
 from grpd.terms import (
-    Identity,
     eval_term,
     in_D,
     is_semigroup,
     parse_identity,
-    prod,
     satisfies_D_scheme,
     satisfies_identity,
     scheme_identity,
-    var,
     variety,
 )
+
+import brute
+from brute import idempotent_3_tables
 
 ASSOCIATIVITY = parse_identity("((x y) z) = (x (y z))")
 
@@ -103,15 +103,7 @@ def instance_blocks(count):
         yield
 
 
-def terms_over(names):
-    return st.recursive(
-        st.sampled_from(names).map(var),
-        lambda sub: st.tuples(sub, sub).map(lambda pair: prod(*pair)),
-        max_leaves=5,
-    )
-
-
-identities = st.tuples(terms_over("xyz"), terms_over("xyz")).map(lambda sides: Identity(*sides))
+identities = brute.identities("xyz", 5)
 
 
 @pytest.mark.parametrize("idempotent_only", [False, True])
@@ -230,11 +222,8 @@ def prune_both_ways(ident, size, idempotent_only):
             frontier[:, i, j] = np.tile(np.arange(size), len(frontier) // size)
 
 
-identities4 = st.tuples(terms_over("xyzw"), terms_over("xyzw")).map(lambda sides: Identity(*sides))
-
-
 @settings(max_examples=60, deadline=None)
-@given(ident=identities4, size=st.integers(2, 4), idempotent_only=st.booleans())
+@given(ident=brute.identities("xyzw", 5), size=st.integers(2, 4), idempotent_only=st.booleans())
 @example(ident=parse_identity("((x y) (z w)) = (x (y (z w)))"), size=3, idempotent_only=False)  # subterm * subterm
 @example(ident=parse_identity("((x y) z) = (x (y z))"), size=4, idempotent_only=True)  # row and column rules
 @example(ident=parse_identity("(x y) = (y x)"), size=3, idempotent_only=False)  # two-variable products only
@@ -342,21 +331,10 @@ def test_in_D_absorption_scheme_rejects_tables_passing_its_identities():
             assert (summary.satisfying, summary.violations) == (45, 38)
 
 
-def all_idempotent_3():
-    cells = [(i, j) for i in range(3) for j in range(3) if i != j]
-    for values in itertools.product(range(3), repeat=6):
-        table = np.zeros((3, 3), dtype=int)
-        for d in range(3):
-            table[d, d] = d
-        for (i, j), v in zip(cells, values):
-            table[i, j] = v
-        yield Groupoid(("0", "1", "2"), table)
-
-
 def oracle_counts(identities):
     satisfying = violations = 0
     first = None
-    for idx, g in enumerate(all_idempotent_3()):
+    for idx, g in enumerate(idempotent_3_tables("012")):
         if all(satisfies_identity(g, i)[0] for i in identities):
             satisfying += 1
             if not is_semigroup(g):
@@ -393,7 +371,7 @@ def test_nulla_4_matches_oracle():
 
 def test_no_filter_counts_bands():
     summary = search_tables(3, True, [])
-    bands = sum(1 for g in all_idempotent_3() if is_semigroup(g))
+    bands = sum(1 for g in idempotent_3_tables("012") if is_semigroup(g))
     assert summary.total == 729
     assert summary.satisfying == 729
     assert summary.violations == 729 - bands

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from grpd import nonassoc, terms
 from grpd.bracketings import catalan, enumerate_bracketings, left_depth_sequence
-from grpd.catalog import build_ak, catalog_get, catalog_list
+from grpd.catalog import build_ak, catalog_list
 from grpd.claims import SPECTRUM_CLAIM_BUDGET
 from grpd.core import Groupoid
 from grpd.errors import GuardError
@@ -27,11 +27,8 @@ from grpd.spectrum import (
 )
 from grpd.terms import Term, evaluate, is_semigroup, parse_term, prod, var
 
-from brute import group_bracketings, spectrum_classes
-
-
-def cat(name):
-    return catalog_get(name).groupoid
+import brute
+from brute import cat, group_bracketings, spectrum_classes
 
 
 SEMILATTICE_2 = Groupoid(("0", "1"), [[0, 0], [0, 1]])
@@ -403,12 +400,8 @@ def test_catalog_spectra_above_one_slab_match_the_composition_and_the_pinned_dig
         assert composed != is_semigroup(g), name
 
 
-small_tables = st.integers(2, 6).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).map(
-    lambda cells: Groupoid(tuple(map(str, range(n))), np.reshape(cells, (n, n)))))
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(small_tables, semigroups().filter(lambda g: g.n <= 6)), st.sampled_from([3, 4]))
+@given(st.one_of(brute.tables(2, 6), semigroups().filter(lambda g: g.n <= 6)), st.sampled_from([3, 4]))
 def test_light_decides_s3_above_one_slab(g, max_n):
     # a failed Light's test gives s(3) = 2, the two bracketings apart, with nothing
     # composed; a top size of 4 composes unless the table is a semigroup

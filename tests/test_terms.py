@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from grpd import claims, cli, terms
 from grpd.catalog import catalog_get, catalog_list
-from grpd.core import Groupoid, dual, parse_groupoid
+from grpd.core import Groupoid, dual
 from grpd.errors import GuardError, ParseError
 from grpd.spectrum import term_function
 from grpd.terms import (
@@ -37,10 +37,8 @@ from grpd.terms import (
     var,
 )
 
-
-def cat(name):
-    return catalog_get(name).groupoid
-
+import brute
+from brute import cat, idempotent_3_tables
 
 LEFT_ZERO = Groupoid(("p", "q"), [[0, 0], [1, 1]])
 RIGHT_ZERO = Groupoid(("p", "q"), [[0, 1], [0, 1]])
@@ -233,15 +231,7 @@ def test_d_scheme_matches_truncated_identities():
                 return False
         return True
 
-    cells = [(i, j) for i in range(3) for j in range(3) if i != j]
-    names = ("a", "b", "c")
-    for values in itertools.product(range(3), repeat=6):
-        table = np.zeros((3, 3), dtype=int)
-        for d in range(3):
-            table[d, d] = d
-        for (i, j), v in zip(cells, values):
-            table[i, j] = v
-        g = Groupoid(names, table)
+    for g in idempotent_3_tables():
         assert satisfies_D_scheme(g) == truncated(g)
 
 
@@ -303,14 +293,7 @@ def test_in_d_cap_a_implies_both():
         g = cat(name)
         if in_D_cap_A(g):
             assert in_D(g) and in_A(g)
-    cells = [(i, j) for i in range(3) for j in range(3) if i != j]
-    for values in itertools.product(range(3), repeat=6):
-        table = np.zeros((3, 3), dtype=int)
-        for d in range(3):
-            table[d, d] = d
-        for (i, j), v in zip(cells, values):
-            table[i, j] = v
-        g = Groupoid(("a", "b", "c"), table)
+    for g in idempotent_3_tables():
         if in_D_cap_A(g):
             assert in_D(g) and in_A(g)
 
@@ -416,17 +399,15 @@ def test_variety_table_keys():
     assert set(predicates("tag")) == set(OLD_TAGS)
 
 
-def table_of(n, cells, idempotent):
-    table = np.array(cells).reshape(n, n)
+def with_diagonal(g, idempotent):
+    """g, or g with each x x made x when ``idempotent``."""
+    table = g.table.copy()
     if idempotent:
-        np.fill_diagonal(table, np.arange(n))
-    return Groupoid(tuple(str(i) for i in range(n)), table)
+        np.fill_diagonal(table, np.arange(g.n))
+    return Groupoid(g.names, table)
 
 
-random_tables = st.integers(1, 4).flatmap(
-    lambda n: st.builds(table_of, st.just(n), st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n),
-                        st.booleans())
-)
+random_tables = st.builds(with_diagonal, brute.tables(1, 4), st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
