@@ -40,7 +40,7 @@ SCHEMA_VERSION = 1
 
 
 def _load(path: str):
-    return parse_groupoid(Path(path).read_text(encoding="utf-8"))
+    return parse_groupoid(Path(path).read_text(encoding="utf-8-sig"))  # a leading byte-order mark is no part of a name
 
 
 def _emit(args, payload: dict, text_lines):

@@ -8,15 +8,18 @@ clone op or a suspect is a groupoid on the basic groupoid's elements,
 and the relation functions (subuniverses, congruences) take a groupoid.
 A subuniverse is a frozenset of indices, and an equivalence relation is a
 ``Partition``: its block ids, in restricted-growth order.
-The .gpd reader splits the rows' UTF-8 bytes at str.split's separators in one
-numpy pass, and a trie over the names' bytes maps all tokens, a gather a byte.
+The .gpd reader finds the header line in Python and reads the rest in one numpy
+pass over its UTF-8 bytes: each byte is classed once, line breaks, comments and
+blank lines are decided on the classes, and only the tokens' starts are kept.  A
+trie over the names' bytes, built a level at a time, maps all tokens, a gather a byte.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -128,10 +131,14 @@ class Partition:
 # .gpd text format
 
 
-# where str.split() breaks (str.isspace): bytes 9-13 and 28-32, and these, which become a space first
-_WIDE_SEPARATORS = "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
-# byte classes: 0 the row break "\n", 1 another separator, 2 a byte no name holds, 3... the names' bytes
-_BYTE_CLASSES = bytes(0 if b == 10 else 1 if 9 <= b <= 13 or 28 <= b <= 32 else 2 for b in range(256))
+# str.splitlines' line breaks are bytes 10-13 and 28-30 and these, which become "\n" first;
+# str.split's other separators (str.isspace) are bytes 9, 31 and 32 and these, which become " " first
+_WIDE_BREAKS = "\x85\u2028\u2029"
+_WIDE_SEPARATORS = "\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
+# byte classes: 0 a line break, 1 "#", 2 another separator, 3 a byte no name holds, 4... the names' bytes
+_BYTE_CLASSES = bytes(0 if 10 <= b <= 13 or 28 <= b <= 30 else 1 if b == 35 else 2 if b in (9, 31, 32) else 3
+                      for b in range(256))
+_LINE = re.compile("[^\n\x0b\x0c\r\x1c\x1d\x1e" + _WIDE_BREAKS + "]+")
 
 
 def parse_groupoid(text: str) -> Groupoid:
@@ -140,52 +147,86 @@ def parse_groupoid(text: str) -> Groupoid:
     ``#`` starts a comment; blank lines are skipped.  The first
     significant line lists the n element names, the next n lines give
     the table rows (entries are element names, row = left factor).
-    The rows are scanned as one byte buffer (see the module docstring); an error
-    names the first row with a wrong length or an unknown token, the length first.
+    Only the header is found in Python.  The rest is read as one buffer of
+    UTF-8 bytes, each byte classed once (a str.splitlines line break, ``#``,
+    another str.split separator, a name's byte): a token begins after a gap
+    byte, a token after a ``#`` of its line is dropped, and a line's length
+    is the number of tokens between its breaks, so blank and comment-only
+    lines hold none.  The names' trie is built a level of bytes at a time,
+    and every token walks it a byte per gather.  An error names the first
+    row with a wrong length or an unknown token, the length first.
     """
-    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
-    if not lines:
+    for line in _LINE.finditer(text):
+        names = tuple(line[0].split("#", 1)[0].split())
+        if names:
+            break
+    else:
         raise ParseError("empty document")
-    names = tuple(lines[0].split())
     n = len(names)
     if len(set(names)) != n:
         dupe = next(nm for nm in names if names.count(nm) > 1)
         raise ParseError(f"duplicate element name {dupe!r}")
-    rows = lines[1:]
-    if len(rows) != n:
-        raise ParseError(f"expected {n} table rows, got {len(rows)}")
     keys = [nm.encode("utf-8", "surrogatepass") for nm in names]
+    spelling = b"".join(keys)
     longest = max(map(len, keys))
-    data = "\n".join([" ", *rows, " " * longest])  # an edge before the first token, room to read past the last
+    data = text + " " * longest + "\n"  # room to read past the last token, and a last line break
     for sep in _WIDE_SEPARATORS:  # a no-op on ASCII text, and ten times faster than str.translate
         data = data.replace(sep, " ")
+    for brk in _WIDE_BREAKS:
+        data = data.replace(brk, "\n")
+    head = len(data[:line.end()].encode("utf-8", "surrogatepass"))  # the bytes up to the header's line break
     data = data.encode("utf-8", "surrogatepass")
-    classes = bytearray(_BYTE_CLASSES)
-    for cls, byte in enumerate(sorted(set(b"".join(keys))), 3):
+    classes, alphabet = bytearray(_BYTE_CLASSES), sorted(set(spelling))
+    for cls, byte in enumerate(alphabet, 4):
         classes[byte] = cls
-    width = max(classes) + 1
-    child = {}  # (node, class) -> node, the root being 0; spells[i] is the node of names[i]
-    spells = [reduce(lambda s, byte: child.setdefault((s, classes[byte]), len(child) + 1), key, 0) for key in keys]
-    # states: the nodes, the dead one, an absorbing one per name; each s is kept as s * width
-    dead = len(child) + 1
+    width = 4 + len(alphabet)
+    c = np.frombuffer(data.translate(classes), np.uint8)[head:]
+    gap = c <= 2
+    gaps = (gap[:-1] > gap[1:]).nonzero()[0]  # the gap byte before each token
+    del gap
+    marks = (c <= 1).nonzero()[0]  # the line breaks and the "#"s
+    if b"#" in data:  # a token after a "#" of its line is in a comment
+        hashes = c.take(marks) == 1
+        gaps = gaps[~hashes.take(marks.searchsorted(gaps, side="right") - 1)]
+        marks = marks[~hashes]
+    before = gaps.searchsorted(marks)  # the tokens before each line break
+    rows = before[1:] - before[:-1]
+    rows = rows[rows > 0]  # each row's length
+    if len(rows) != n:
+        raise ParseError(f"expected {n} table rows, got {len(rows)}")
+    # states: the trie's nodes (the root 0, then a node per name byte at most), the dead
+    # one, an absorbing one per name; each s is kept as s * width.  The trie grows a level
+    # at a time: each name's edge out of its node is written the node numbered by its
+    # byte's place in spelling, and the names that share an edge read back the one that stays
+    dead = 1 + len(spelling)
     step = np.full((dead + 1 + n, width), dead * width, np.int32)
-    step[tuple(zip(*child))] = np.array(list(child.values()), np.int32) * width
+    lengths = np.fromiter(map(len, keys), np.intp, n)
+    spelled = np.frombuffer(spelling.translate(classes), np.uint8)
+    firsts = lengths.cumsum() - lengths  # where each name's bytes start in spelling
+    node = np.zeros(n, np.intp)  # each name's node so far, times width
+    for depth in range(longest):
+        live = (lengths > depth).nonzero()[0]
+        edge = node[live] + spelled.take(firsts[live] + depth)
+        step.put(edge, (firsts[live] + depth + 1) * width)
+        node[live] = step.take(edge)
     step[dead:] = absorb = np.arange(dead, dead + 1 + n, dtype=np.int32)[:, None] * width
-    step[spells, :2] = absorb[1:]  # a separator after a name reaches its absorbing state
-    c = np.frombuffer(data.translate(classes), np.uint8)
-    starts, ends = (np.diff(c <= 1).nonzero()[0] + 1).reshape(-1, 2).T.copy()  # the separators' edges
-    state = 0
-    for p in range(longest + 1):
-        state = step.take(state + c[p:].take(starts))
-    index = state // width - (dead + 1)  # -1 for the dead state
-    lasts = (c.take(ends) == 0).nonzero()[0]  # rows are stripped: a row's last token ends at its "\n"
-    r = np.append(lasts != np.arange(n - 1, n * n, n), True).argmax()  # the first row of a wrong length, or n
-    k = np.append(index < 0, True).argmax()  # the first unknown token, or len(index) in row n
-    if r < n and r <= np.searchsorted(lasts, k):  # the rows before r hold n tokens each
-        raise ParseError(f"row length mismatch in row {r + 1}: expected {n} entries, got {lasts[r] + 1 - r * n}")
-    if k < len(index):
-        token = data[starts[k]:ends[k]].decode("utf-8", "surrogatepass")
-        raise ParseError(f"unknown element {token!r} in row {np.searchsorted(lasts, k) + 1}")
+    step.reshape(-1)[node[:, None] + np.arange(3)] = absorb[1:]  # a gap after a name reaches its absorbing state
+    final = step // width - (dead + 1)  # step's target as a name's index, -1 for any state but an absorbing one
+    # every token walks the trie a byte at a time; each index is in range, and
+    # mode="wrap" skips take's bounds check
+    at, state = np.empty(len(gaps), np.intp), 0  # at: a state plus the class of the byte it reads
+    for p in range(1, longest + 1):
+        state = step.take(np.add(state, c[p:].take(gaps), out=at), mode="wrap")
+    index = final.take(np.add(state, c[longest + 1:].take(gaps), out=at), mode="wrap")
+    if (rows != n).any() or index.min() < 0:
+        r = np.append(rows != n, True).argmax()  # the first row of a wrong length, or n
+        k = np.append(index < 0, True).argmax()  # the first unknown token, or len(index) in row n
+        row = rows.cumsum().searchsorted(k, side="right")  # the row of token k
+        if r < n and r <= row:
+            raise ParseError(f"row length mismatch in row {r + 1}: expected {n} entries, got {rows[r]}")
+        first = gaps[k] + 1
+        token = data[head + first:head + first + (c[first:] <= 2).argmax()]
+        raise ParseError(f"unknown element {token.decode('utf-8', 'surrogatepass')!r} in row {row + 1}")
     return Groupoid(names, index.reshape(n, n))
 
 

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,14 @@ def test_parse_errors_exit_2_with_the_message_alone(capsys, tmp_path, content, m
     path = tmp_path / "bad.gpd"
     path.write_bytes(content)
     assert run(capsys, "ns", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_a_byte_order_mark_reads_as_no_mark(capsys, g3_file, tmp_path):
+    marked = tmp_path / "G3-bom.gpd"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(g3_file).read_bytes())
+    for argv in (["ns"], ["ns", "--json"], ["spectrum", "--max-n", "4"]):
+        plain, bom = (run(capsys, argv[0], path, *argv[1:]) for path in (g3_file, str(marked)))
+        assert bom == plain and plain[0] == 0
 
 
 def test_verify_paper_fast(capsys):

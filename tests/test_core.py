@@ -28,7 +28,7 @@ from grpd.nonassoc import ns_index
 from grpd.spectrum import spectrum
 
 import brute
-from brute import cat
+from brute import cat, relabelled
 from partitions import all_partitions
 
 
@@ -138,11 +138,27 @@ def test_parser_matches_the_row_by_row_reference(text):
     assert parse_outcome(parse_groupoid, text) == parse_outcome(brute.parse_groupoid, text)
 
 
+def scanned(byte_class, wide):
+    """The code points the reader scans as ``byte_class``: the bytes of that class and ``wide``'s characters."""
+    return {b for b in range(256) if core._BYTE_CLASSES[b] == byte_class} | set(map(ord, wide))
+
+
 def test_separators_are_str_split_whitespace():
-    scanned = {b for b in range(256) if core._BYTE_CLASSES[b] <= 1} | set(map(ord, core._WIDE_SEPARATORS))
-    assert scanned == {c for c in range(0x110000) if chr(c).isspace()}
-    for c in sorted(scanned):
+    separators = scanned(0, core._WIDE_BREAKS) | scanned(2, core._WIDE_SEPARATORS)  # line breaks part tokens too
+    assert separators == {c for c in range(0x110000) if chr(c).isspace()}
+    for c in sorted(separators):
         for text in (f"a b\na{chr(c)}b\nb a\n", f"a{chr(c)}b\nb{chr(c)}{chr(c)}a\na b{chr(c)}\n"):
+            assert parse_outcome(parse_groupoid, text) == parse_outcome(brute.parse_groupoid, text)
+
+
+def test_line_breaks_are_str_splitlines():
+    breaks = scanned(0, core._WIDE_BREAKS)
+    assert breaks == {c for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    for c in sorted(breaks):
+        brk = chr(c)
+        # rows ended by the break, a comment it ends, a blank line, "\r" before it, and rows it splits
+        for text in (f"a b{brk}a b{brk}b a", f"a b # c{brk}a b #{brk}{brk}b a{brk}", f"a b\r{brk}a b\r{brk}b a\r{brk}",
+                     f"a b{brk}a b b a\n", f"a b{brk}a{brk}b b a\n"):
             assert parse_outcome(parse_groupoid, text) == parse_outcome(brute.parse_groupoid, text)
 
 
@@ -153,15 +169,45 @@ def test_parser_memory_is_bounded_by_the_text():
     rng = np.random.default_rng(3)
     n = 200
     names = tuple("".join(rng.choice(list(string.ascii_lowercase), 60)) for _ in range(n))
-    g = Groupoid(names, rng.integers(0, n, (n, n)))
-    text = write_groupoid(g)
-    tracemalloc.start()
-    try:
-        assert parse_groupoid(text) == g
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * len(text)
+    # a 384-element table has a small trie and 147,456 tokens: the text's bytes, their
+    # classes, the masks and the tokens' positions and states stay within 13 times the text
+    for g, bound in ((Groupoid(names, rng.integers(0, n, (n, n))), 8), (relabelled("cyclic", 384, 3, 1), 13)):
+        text = write_groupoid(g)
+        tracemalloc.start()
+        try:
+            assert parse_groupoid(text) == g
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(text)
+
+
+@pytest.mark.parametrize("fault", [None, "short row", "long row", "unknown token", "overlong token", "missing row",
+                                   "extra row"])
+def test_parser_matches_the_row_by_row_reference_at_384_elements(fault):
+    # names 0..383 prefix one another; lines end in "\r\n" or U+2028 between blank lines,
+    # comment-only lines and trailing comments; a fault goes into row 300
+    g = relabelled("cyclic", 384, 3, 2)
+    rows = [[g.names[v] for v in row] for row in g.table.tolist()]
+    if fault == "short row":
+        del rows[300][17]
+    elif fault == "long row":
+        rows[300].insert(17, "0")
+    elif fault == "unknown token":
+        rows[300][17] = "384"
+    elif fault == "overlong token":
+        rows[300][17] = "3830"
+    elif fault == "missing row":
+        del rows[300]
+    elif fault == "extra row":
+        rows.insert(300, list(rows[300]))
+    lines = []
+    for i, tokens in enumerate([list(g.names), *rows]):
+        lines += [""] * (i % 7 == 0) + ["# row"] * (i % 11 == 0) + [" ".join(tokens) + " # note" * (i % 5 == 0)]
+    text = "".join(line + ("\r\n", "\u2028")[i % 2] for i, line in enumerate(lines))
+    outcome = parse_outcome(parse_groupoid, text)
+    assert outcome == parse_outcome(brute.parse_groupoid, text)
+    assert (outcome == g) == (fault is None)
 
 
 def test_gpd_roundtrip_300_elements():
