@@ -5,8 +5,12 @@ most significant digit), optionally restricted to idempotent tables.
 The scan assigns the free cells one at a time to batches of partial
 tables (undefined cells are -1) and drops a partial table, with the
 subtree below it, once a fully defined identity instance fails in it
-(``_prune``).  A check is the same filter run on the full tables that
-survive (``search_tables``).
+(``_prune``), evaluating the instances in blocks as large as the
+(tables, instances) index allows (``_block_size``).  A check is the
+same filter run on the full tables that survive (``search_tables``);
+with no identity to satisfy every table survives, so the scan prunes by
+the check's own identities instead and counts the violators as the
+indices its members skip.
 """
 
 from __future__ import annotations
@@ -111,11 +115,11 @@ def _instances(identities, size: int, cells: list[tuple[int, int]]):
     return out
 
 
-def _block_size(last: int, tables: np.ndarray) -> int:
-    """Instances in the next block over ``tables``: one first (``last`` = 0),
-    then twice the last, up to the most whose int64 index array of
-    (tables, instances) stays within ``nonassoc.SLAB_CELLS`` bytes."""
-    return max(1, min(2 * last, nonassoc.SLAB_CELLS // 8 // len(tables)))
+def _block_size(tables: np.ndarray) -> int:
+    """Instances in a block over ``tables``: the most whose int64 index array
+    of (tables, instances) stays within ``nonassoc.SLAB_CELLS`` bytes, and at
+    least one."""
+    return max(1, nonassoc.SLAB_CELLS // 8 // len(tables))
 
 
 def _may_read(values: np.ndarray, products, cell: tuple[int, int]) -> np.ndarray | bool:
@@ -136,7 +140,8 @@ def _prune(tables: np.ndarray, instances, size: int, depth: int,
            cell: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The tables in which no fully defined identity instance ready at ``depth``
     fails, with their positions in ``tables``.  Each identity's ready instances
-    are evaluated a block at a time: a table stays iff every instance of the
+    are evaluated a block at a time, each block as large as ``_block_size``
+    allows over the tables still kept: a table stays iff every instance of the
     block is undefined on a side or equal on both.
 
     With ``cell``, each table differs only there from a parent that survived
@@ -154,9 +159,9 @@ def _prune(tables: np.ndarray, instances, size: int, depth: int,
         if cell is not None:
             live &= _may_read(values, products, cell)
         values = values[live]
-        lo = step = 0
+        lo = 0
         while lo < len(values) and len(tables):
-            step = _block_size(step, tables)
+            step = _block_size(tables)
             block = values[lo:lo + step]
             lo += step
             env = {name: block[:, c] for c, name in enumerate(names)}
@@ -193,6 +198,15 @@ def _table_index(tables: np.ndarray, size: int, cells: list[tuple[int, int]]) ->
     return index
 
 
+def _index_tables(index: np.ndarray, size: int, cells: list[tuple[int, int]]) -> np.ndarray:
+    """The full tables, padded as in ``_root``, with the given enumeration
+    indices: ``_table_index``'s inverse."""
+    tables = np.repeat(_root(size, cells), len(index), axis=0)
+    for i, j in reversed(cells):
+        index, tables[:, i, j] = np.divmod(index, size)
+    return tables
+
+
 def _groupoid(table: np.ndarray) -> Groupoid:
     return Groupoid(tuple(str(e) for e in range(len(table))), table)
 
@@ -217,13 +231,17 @@ def search_tables(
     ``idempotent_only``), builds only the partial tables no identity
     instance rules out, and runs the full tables that survive through
     the same filter with the identities of the named check (then its
-    scheme, if any): the tables it drops are the violators.  Reports
-    their count and the first one in enumeration order.  A batch of
-    partial tables holds at most ``CHUNK`` rows; a larger one is expanded
-    depth-first in slices, in enumeration order, so the results do not
-    depend on ``CHUNK``.  More than ``MAX_INSTANCES`` identity
-    instances (size^variables, summed over ``satisfy``) raise GuardError
-    before any work.
+    scheme, if any): the tables it drops are the violators.  With no
+    identity to satisfy, every table satisfies, so the scan prunes by the
+    check's identities alone and what survives (then the scheme) are the
+    members; the violators are the rest, the first of them the first
+    index the ordered members skip.  Reports the violators' count and
+    the first one in enumeration order.  A batch of partial tables holds
+    at most ``CHUNK`` rows; a larger one is expanded depth-first in
+    slices, in enumeration order, so the results do not depend on
+    ``CHUNK``.  More than ``MAX_INSTANCES`` identity instances
+    (size^variables, summed over ``satisfy``) raise GuardError before any
+    work.
     """
     limit = MAX_SIZE_IDEMPOTENT if idempotent_only else MAX_SIZE_GENERAL
     if size < 1:
@@ -241,23 +259,39 @@ def search_tables(
     cells = _free_cells(size, idempotent_only)
     total = size ** len(cells)
     row = variety("check", check)
-    members = [parse_identity(t) for t in row.identities]
+    checks = _instances([parse_identity(t) for t in row.identities], size, cells)
+
+    def members(tables):
+        if row.scheme is None:
+            return np.arange(len(tables))
+        return np.flatnonzero([row.scheme(_groupoid(t[:size, :size])) for t in tables])
 
     satisfying = 0
     violations = 0
     first_idx = None
+    if identities:
+        for tables in _expand(_root(size, cells), _instances(identities, size, cells), 0, size, cells):
+            satisfying += len(tables)
+            kept, at = _prune(tables, checks, size, len(cells))
+            at = at[members(kept)]
+            violations += len(tables) - len(at)
+            if first_idx is None and len(at) < len(tables):
+                bad = np.ones(len(tables), dtype=bool)
+                bad[at] = False
+                first_idx = int(_table_index(tables[bad.argmax()][None], size, cells)[0])
+    else:
+        satisfying = total
+        seen = 0  # members so far; in index order, so the first skipped index is the first violator
+        for tables in _expand(_root(size, cells), checks, 0, size, cells):
+            tables = tables[members(tables)]
+            if first_idx is None:
+                skips = np.flatnonzero(_table_index(tables, size, cells) != np.arange(seen, seen + len(tables)))
+                first_idx = seen + int(skips[0]) if len(skips) else None
+            seen += len(tables)
+        violations = total - seen
+        if first_idx is None and violations:
+            first_idx = seen
     witness = None
-    checks = _instances(members, size, cells)
-    for tables in _expand(_root(size, cells), _instances(identities, size, cells), 0, size, cells):
-        satisfying += len(tables)
-        kept, at = _prune(tables, checks, size, len(cells))
-        if row.scheme is not None:
-            at = at[np.array([row.scheme(_groupoid(t[:size, :size])) for t in kept], dtype=bool)]
-        violations += len(tables) - len(at)
-        if first_idx is None and len(at) < len(tables):
-            bad = np.ones(len(tables), dtype=bool)
-            bad[at] = False
-            first = tables[bad.argmax()]
-            first_idx = int(_table_index(first[None], size, cells)[0])
-            witness = _groupoid(first[:size, :size])
+    if first_idx is not None:
+        witness = _groupoid(_index_tables(np.array([first_idx]), size, cells)[0, :size, :size])
     return SearchSummary(size, idempotent_only, total, satisfying, violations, first_idx, witness)

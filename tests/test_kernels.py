@@ -405,12 +405,12 @@ def brute_search(size, idempotent_only, ident, check):
 @example(ident=parse_identity("((x y) (z x)) = (y x)"), check="in_A", chunk=100, block=1 << 30)
 def test_search_matches_per_table_checks(size, idempotent_only, ident, check, chunk, block):
     """``block`` forces blocks of exactly that many identity instances (1 << 30:
-    all at once); None keeps the doubling schedule."""
+    all at once); None keeps ``_block_size``."""
     for name in sorted({"is_semigroup", check}):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "CHUNK", chunk)
             if block is not None:
-                mp.setattr(search, "_block_size", lambda last, tables: block)
+                mp.setattr(search, "_block_size", lambda tables: block)
             summary = search_tables(size, idempotent_only, [ident], name)
         satisfying, violations, first = brute_search(size, idempotent_only, ident, name)
         assert (summary.satisfying, summary.violations) == (satisfying, violations)

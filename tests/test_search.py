@@ -1,13 +1,16 @@
 import contextlib
 import functools
 import itertools
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grpd.core import Groupoid
+from grpd.core import Groupoid, write_groupoid
 from grpd.errors import GuardError
 from grpd import nonassoc, search
 from grpd.search import CHECKS, all_tables, search_tables
@@ -95,11 +98,12 @@ ALL = 1 << 30  # more instances than any identity has: one block holds all of th
 @contextlib.contextmanager
 def instance_blocks(count):
     """Prune with blocks of exactly ``count`` identity instances (all of them for
-    ``ALL``); ``None`` keeps the doubling schedule.  The schedule's first block
-    holds one instance whatever the memory bound, so the schedule is patched."""
+    ``ALL``); ``None`` keeps ``_block_size``.  Over the few tables of a size-3
+    scan that rule puts every instance of a small identity in one block, so
+    blocks of one are forced by patching it."""
     with pytest.MonkeyPatch.context() as mp:
         if count is not None:
-            mp.setattr(search, "_block_size", lambda last, tables: count)
+            mp.setattr(search, "_block_size", lambda tables: count)
         yield
 
 
@@ -192,14 +196,23 @@ def test_block_drops_failing_tables_and_keeps_undefined_ones(monkeypatch):
             assert evaluations == [2, 2]  # one block: each side evaluated once, over both instances
 
 
-def test_block_schedule_doubles_within_the_slab_bound():
-    tables = np.zeros((1000, 1, 1), dtype=np.int8)
-    steps = [search._block_size(0, tables)]
-    while steps[-1] < nonassoc.SLAB_CELLS // 8 // 1000:
-        steps.append(search._block_size(steps[-1], tables))
-    assert steps[:3] == [1, 2, 4] and steps[-1] == nonassoc.SLAB_CELLS // 8 // 1000
-    assert search._block_size(steps[-1], tables) == steps[-1]
-    assert search._block_size(1 << 10, np.zeros((nonassoc.SLAB_CELLS, 1, 1), dtype=np.int8)) == 1
+def test_block_size_is_the_slab_bound_over_the_tables(monkeypatch):
+    bound = nonassoc.SLAB_CELLS // 8  # int64 indices in one slab
+    for rows in (1, 7, 1000, bound):
+        assert search._block_size(np.zeros((rows, 1, 1), dtype=np.int8)) == bound // rows
+    assert search._block_size(np.zeros((bound + 1, 1, 1), dtype=np.int8)) == 1  # at least one instance
+    # every block is full from the first: no block depends on the one before
+    blocks = []
+
+    def counting_eval(t, env, product):
+        blocks.append(len(next(iter(env.values()))))
+        return eval_term(t, env, product)
+
+    monkeypatch.setattr(search, "eval_term", counting_eval)
+    tables = np.full((bound // 6, 4, 4), -1, dtype=np.int8)  # all undefined: none is dropped
+    cells = search._free_cells(3, False)
+    search._prune(tables, search._instances([ASSOCIATIVITY], 3, cells), 3, len(cells))
+    assert blocks[::2] == blocks[1::2] == [6, 6, 6, 6, 3]  # 27 instances, each side once per block
 
 
 FRONTIER_CAP = 4096  # parents expanded per depth: any subset of the survivors keeps the premise
@@ -311,6 +324,78 @@ def test_size3_sweeps_pinned(check):
     summary = search_tables(3, False, [], check)
     assert (summary.total, summary.satisfying) == (19683, 19683)
     assert (summary.violations, summary.first_witness_index) == SIZE3_SWEEPS[check]
+
+
+def test_index_tables_inverts_table_index():
+    for idempotent_only in (False, True):
+        cells = search._free_cells(3, idempotent_only)
+        tables, indices = decode_tables(3, idempotent_only)
+        decoded = search._index_tables(indices, 3, cells)
+        assert np.array_equal(decoded[:, :3, :3], tables.reshape(-1, 3, 3))
+        assert (decoded[:, 3] == -1).all() and (decoded[:, :, 3] == -1).all()  # padded as _root
+        assert np.array_equal(search._table_index(decoded, 3, cells), indices)
+    rng = np.random.default_rng(7)
+    for idempotent_only in (False, True):
+        cells = search._free_cells(4, idempotent_only)
+        indices = np.concatenate([[0, 4 ** len(cells) - 1], rng.integers(0, 4 ** len(cells), 5000)])
+        decoded = search._index_tables(indices, 4, cells)
+        assert np.array_equal(search._table_index(decoded, 4, cells), indices)
+        if idempotent_only:
+            assert (decoded[:, range(4), range(4)] == np.arange(4)).all()
+
+
+@functools.lru_cache(maxsize=None)
+def unfiltered_brute_scan(size, idempotent_only, check):
+    return brute_scan(size, idempotent_only, [], check)
+
+
+@settings(max_examples=20, deadline=None)
+@given(check=st.sampled_from(sorted(CHECKS)), shape=st.sampled_from([(2, False), (3, True)]),
+       chunk=st.sampled_from([1, 2, 5, 40]))
+# one frontier row per slice, so at most three leaves a batch: in_A's members
+# 0, 1 and 2 fill the first batch and its first violator, 3, is the next one's;
+# (every check over all 19,683 general size-3 tables is
+# test_every_check_matches_its_predicate_on_all_size3_tables)
+@example(check="in_A", shape=(3, False), chunk=1)
+@example(check="is_semigroup", shape=(3, False), chunk=2)
+@example(check="in_D", shape=(3, True), chunk=1)  # the scheme drops members too
+def test_unfiltered_scan_matches_brute_force(check, shape, chunk):
+    with chunk_rows(chunk):
+        summary = search_tables(*shape, [], check)
+    assert summary.satisfying == summary.total
+    assert scan(summary) == unfiltered_brute_scan(*shape, check)
+
+
+def json_documents(text):
+    """The JSON documents written one after another in ``text``."""
+    decoder, at = json.JSONDecoder(), 0
+    while text[at:].strip():
+        doc, at = decoder.raw_decode(text, len(text) - len(text[at:].lstrip()))
+        yield doc
+
+
+def test_size4_unfiltered_sweeps_pinned():
+    # the --json output of `grpd search --size 4 --idempotent --check C`, C in sorted order
+    docs = list(json_documents((Path(__file__).parent / "search-size4.json").read_text(encoding="utf-8")))
+    assert len(docs) == len(CHECKS)
+    for check, doc in zip(sorted(CHECKS), docs):
+        summary = search_tables(4, True, [], check)
+        got = {"size": 4, "idempotentOnly": True, "total": summary.total, "satisfying": summary.satisfying,
+               "violations": summary.violations, "firstWitnessIndex": summary.first_witness_index,
+               "firstWitness": write_groupoid(summary.first_witness) if summary.first_witness else None}
+        assert got == {k: doc[k] for k in got}, check
+
+
+def test_unfiltered_size4_scan_builds_no_full_batch():
+    # pruned by associativity, no batch nears the CHUNK rows of 4^12 full tables (25 MB as int8)
+    tracemalloc.start()
+    try:
+        summary = search_tables(4, True, [], "is_semigroup")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (summary.violations, summary.first_witness_index) == (4 ** 12 - 604, 1)
+    assert peak < 8 << 20
 
 
 def test_in_D_absorption_scheme_rejects_tables_passing_its_identities():
